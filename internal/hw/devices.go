@@ -410,8 +410,8 @@ func (m *Machine) Devices() []Device {
 	return []Device{m.Console, m.Disk, m.NIC, m.Chan}
 }
 
-// EnableSMP prepares the platform for n virtual CPUs: engages the memory
-// content locks and sizes the per-CPU interrupt queues.
+// EnableSMP prepares the platform for n virtual CPUs: switches memory
+// contents to word-atomic access and sizes the per-CPU interrupt queues.
 func (m *Machine) EnableSMP(n int) {
 	m.Phys.EnableSMP(n > 1)
 	m.Intr.SetCPUs(n)

@@ -11,16 +11,20 @@
 //
 // SMP: one Machine may be driven by several virtual CPUs (goroutines).
 // Physical memory reaches its pages through a lock-free two-level atomic
-// directory, and page *contents* are guarded by striped locks that engage
-// only after EnableSMP — a uniprocessor machine pays one atomic flag load
-// per transfer and nothing else.  Devices carry their own small mutexes.
+// directory.  After EnableSMP, page *contents* are read and written one
+// aligned 8-byte word at a time with sync/atomic, so every word is
+// linearizable and no transfer takes a lock; a uniprocessor machine pays
+// one atomic flag load per transfer and nothing else.  Devices carry their
+// own small mutexes.
 package hw
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"sva/internal/faultinject"
 )
@@ -35,8 +39,6 @@ const (
 	// 4 M pages = 16 GiB.  Pages beyond it live in an overflow map (the
 	// guest address layout tops out far below, so it is effectively cold).
 	physCoverPages = uint64(1) << (physL1Bits + physL2Bits)
-	// memStripes is the page-content lock stripe count (SMP mode only).
-	memStripes = 64
 	// tlbSlots sizes the uniprocessor page-pointer cache.
 	tlbSlots = 64
 )
@@ -47,8 +49,18 @@ type physLeaf [1 << physL2Bits]atomic.Pointer[[PageSize]byte]
 // PhysMemory is a sparse, paged physical memory.  Pages materialize
 // (zeroed) on first touch, so a 64-bit address space costs only what the
 // guest actually uses.  Page lookup is lock-free (atomic directory walk +
-// CAS materialization); under SMP, page contents are additionally guarded
-// by striped mutexes so concurrent virtual CPUs never race host memory.
+// CAS materialization).
+//
+// Under SMP, page contents are accessed word-atomically, as on real
+// hardware: a Load or Store of 1, 2, 4 or 8 bytes inside one aligned
+// 8-byte word is a single atomic load, store or compare-and-swap (a
+// sub-word store merges only its own bytes, so neighbouring bytes are
+// never lost), and every other transfer — ReadAt, WriteAt, Zero and
+// accesses that cross a word or a page — goes word by word through the
+// same primitives.  Each word is therefore linearizable, while a bulk
+// transfer is atomic per word rather than as a whole.  Guest
+// read-modify-write instructions are serialized above this layer (the
+// VM's shared atomics lock), not here.
 type PhysMemory struct {
 	dir [1 << physL1Bits]atomic.Pointer[physLeaf]
 	// high holds pages above the directory's coverage window.
@@ -56,10 +68,9 @@ type PhysMemory struct {
 	high   map[uint64]*[PageSize]byte
 
 	touched atomic.Int64
-	// smp engages the striped content locks; set by EnableSMP before the
-	// virtual CPUs launch.
-	smp     atomic.Bool
-	stripes [memStripes]sync.Mutex
+	// smp switches page contents to word-atomic access; set by EnableSMP
+	// before the virtual CPUs launch.
+	smp atomic.Bool
 
 	// tlb is a direct-mapped page-pointer cache for the uniprocessor
 	// Load/Store fast paths.  Pages materialize once and are never freed
@@ -83,7 +94,7 @@ func NewPhysMemory(limit uint64) *PhysMemory {
 	return &PhysMemory{high: make(map[uint64]*[PageSize]byte), Limit: limit}
 }
 
-// EnableSMP engages (or releases) the striped page-content locks.  Call
+// EnableSMP switches page contents to (or from) word-atomic access.  Call
 // before the virtual CPUs start sharing this memory.
 func (m *PhysMemory) EnableSMP(on bool) { m.smp.Store(on) }
 
@@ -116,7 +127,7 @@ func (m *PhysMemory) page(addr uint64) *[PageSize]byte {
 	ps := &leaf[idx&(1<<physL2Bits-1)]
 	p := ps.Load()
 	if p == nil {
-		p = new([PageSize]byte)
+		p = newPage()
 		if ps.CompareAndSwap(nil, p) {
 			m.touched.Add(1)
 		} else {
@@ -146,7 +157,7 @@ func (m *PhysMemory) highPage(idx uint64) *[PageSize]byte {
 	defer m.highMu.Unlock()
 	p := m.high[idx]
 	if p == nil {
-		p = new([PageSize]byte)
+		p = newPage()
 		m.high[idx] = p
 		m.touched.Add(1)
 	}
@@ -181,22 +192,18 @@ func (m *PhysMemory) ReadAt(addr uint64, buf []byte) error {
 		copy(buf, m.pageFast(addr)[off:])
 		return nil
 	}
-	locked := m.smp.Load()
+	smp := m.smp.Load()
 	for len(buf) > 0 {
 		p := m.page(addr)
 		off := addr % PageSize
-		if locked {
-			mu := &m.stripes[(addr/PageSize)%memStripes]
-			mu.Lock()
-			n := copy(buf, p[off:])
-			mu.Unlock()
-			buf = buf[n:]
-			addr += uint64(n)
-			continue
+		n := min(uint64(len(buf)), PageSize-off)
+		if smp {
+			readWords(p, off, buf[:n])
+		} else {
+			copy(buf, p[off:])
 		}
-		n := copy(buf, p[off:])
 		buf = buf[n:]
-		addr += uint64(n)
+		addr += n
 	}
 	return nil
 }
@@ -215,22 +222,18 @@ func (m *PhysMemory) WriteAt(addr uint64, buf []byte) error {
 		copy(m.pageFast(addr)[off:], buf)
 		return nil
 	}
-	locked := m.smp.Load()
+	smp := m.smp.Load()
 	for len(buf) > 0 {
 		p := m.page(addr)
 		off := addr % PageSize
-		if locked {
-			mu := &m.stripes[(addr/PageSize)%memStripes]
-			mu.Lock()
-			n := copy(p[off:], buf)
-			mu.Unlock()
-			buf = buf[n:]
-			addr += uint64(n)
-			continue
+		n := min(uint64(len(buf)), PageSize-off)
+		if smp {
+			writeWords(p, off, buf[:n], n)
+		} else {
+			copy(p[off:], buf)
 		}
-		n := copy(p[off:], buf)
 		buf = buf[n:]
-		addr += uint64(n)
+		addr += n
 	}
 	return nil
 }
@@ -257,10 +260,18 @@ func (m *PhysMemory) Load(addr uint64, size int) (uint64, error) {
 			return uint64(p[off]), nil
 		}
 	}
-	var buf [8]byte
 	if size != 1 && size != 2 && size != 4 && size != 8 {
 		return 0, &MemFault{Addr: addr, Size: size}
 	}
+	// SMP fast path: an access inside one aligned word is one atomic load,
+	// with the uniprocessor fast path's bounds check.
+	if sh := addr % 8; sh+uint64(size) <= 8 && m.Chaos == nil {
+		if m.Limit != 0 && addr+uint64(size) > m.Limit {
+			return 0, &MemFault{Addr: addr, Size: size}
+		}
+		return loadWord(m.page(addr), addr%PageSize) >> (8 * sh) & sizeMask(size), nil
+	}
+	var buf [8]byte
 	if err := m.ReadAt(addr, buf[:size]); err != nil {
 		return 0, err
 	}
@@ -298,10 +309,18 @@ func (m *PhysMemory) Store(addr uint64, v uint64, size int) error {
 			return nil
 		}
 	}
-	var buf [8]byte
 	if size != 1 && size != 2 && size != 4 && size != 8 {
 		return &MemFault{Addr: addr, Size: size}
 	}
+	// SMP fast path mirror of Load's: one atomic store or merge.
+	if sh := addr % 8; sh+uint64(size) <= 8 && m.Chaos == nil {
+		if m.Limit != 0 && addr+uint64(size) > m.Limit {
+			return &MemFault{Addr: addr, Size: size}
+		}
+		storeWord(m.page(addr), addr%PageSize, v<<(8*sh), sizeMask(size)<<(8*sh))
+		return nil
+	}
+	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	return m.WriteAt(addr, buf[:size])
 }
@@ -322,27 +341,119 @@ func (m *PhysMemory) Zero(addr uint64, n uint64) error {
 	if err := m.check(addr, int(n)); err != nil {
 		return err
 	}
-	locked := m.smp.Load()
+	smp := m.smp.Load()
 	for n > 0 {
 		p := m.page(addr)
 		off := addr % PageSize
-		c := PageSize - off
-		if c > n {
-			c = n
-		}
-		var mu *sync.Mutex
-		if locked {
-			mu = &m.stripes[(addr/PageSize)%memStripes]
-			mu.Lock()
-		}
-		clear(p[off : off+c])
-		if mu != nil {
-			mu.Unlock()
+		c := min(n, PageSize-off)
+		if smp {
+			writeWords(p, off, nil, c)
+		} else {
+			clear(p[off : off+c])
 		}
 		addr += c
 		n -= c
 	}
 	return nil
+}
+
+// Word-atomic page access (SMP mode).  Pages are allocated as arrays of
+// uint64, so every aligned 8-byte word of a page is a valid sync/atomic
+// operand.  Words are handled in guest (little-endian) byte order: bit
+// 8*i of a word value is the low bit of the word's byte i.
+
+// hostBigEndian reports whether the host stores the most significant
+// byte of a word first, in which case le swaps words to guest order.
+var hostBigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// le converts a page word between host and guest byte order (the
+// conversion is its own inverse).
+func le(w uint64) uint64 {
+	if hostBigEndian {
+		return bits.ReverseBytes64(w)
+	}
+	return w
+}
+
+// newPage allocates a zeroed page backed by 64-bit words.
+func newPage() *[PageSize]byte {
+	return (*[PageSize]byte)(unsafe.Pointer(new([PageSize / 8]uint64)))
+}
+
+// wordAt returns the aligned word of page p holding byte off.
+func wordAt(p *[PageSize]byte, off uint64) *uint64 {
+	return (*uint64)(unsafe.Pointer(&p[off&^7]))
+}
+
+// loadWord atomically reads the aligned word holding byte off.
+func loadWord(p *[PageSize]byte, off uint64) uint64 {
+	return le(atomic.LoadUint64(wordAt(p, off)))
+}
+
+// storeWord atomically replaces the bytes selected by mask in the aligned
+// word holding byte off with those of v.  A partial mask merges with a
+// compare-and-swap loop, so concurrent stores to the word's other bytes
+// are never lost.
+func storeWord(p *[PageSize]byte, off uint64, v, mask uint64) {
+	w := wordAt(p, off)
+	if mask == ^uint64(0) {
+		atomic.StoreUint64(w, le(v))
+		return
+	}
+	v, mask = le(v&mask), le(mask)
+	for {
+		old := atomic.LoadUint64(w)
+		if atomic.CompareAndSwapUint64(w, old, old&^mask|v) {
+			return
+		}
+	}
+}
+
+// readWords fills dst from page p at off, one atomic load per word.  The
+// range must lie inside the page.
+func readWords(p *[PageSize]byte, off uint64, dst []byte) {
+	for len(dst) > 0 {
+		if off%8 == 0 && len(dst) >= 8 {
+			// A whole word: its host byte order is the memory image.
+			binary.NativeEndian.PutUint64(dst, atomic.LoadUint64(wordAt(p, off)))
+			dst, off = dst[8:], off+8
+			continue
+		}
+		sh := off % 8
+		w := loadWord(p, off) >> (8 * sh)
+		c := min(8-sh, uint64(len(dst)))
+		for i := range c {
+			dst[i] = byte(w >> (8 * i))
+		}
+		dst, off = dst[c:], off+c
+	}
+}
+
+// writeWords stores n bytes of src (zeros when src is nil) into page p at
+// off, one atomic store or merge per word.  The range must lie inside the
+// page.
+func writeWords(p *[PageSize]byte, off uint64, src []byte, n uint64) {
+	for n > 0 {
+		var v uint64
+		if off%8 == 0 && n >= 8 {
+			if src != nil {
+				v, src = binary.NativeEndian.Uint64(src), src[8:]
+			}
+			atomic.StoreUint64(wordAt(p, off), v)
+			off, n = off+8, n-8
+			continue
+		}
+		sh := off % 8
+		c := min(8-sh, n)
+		if src != nil {
+			for i := range c {
+				v |= uint64(src[i]) << (8 * i)
+			}
+			src = src[c:]
+		}
+		storeWord(p, off, v<<(8*sh), sizeMask(int(c))<<(8*sh))
+		off, n = off+c, n-c
+	}
 }
 
 // PagesTouched returns how many physical pages have materialized.

@@ -16,6 +16,7 @@
 package hw
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -144,7 +145,8 @@ type RingNIC struct {
 	// queue receives only its own looped-back transmissions.
 	Source func(queue int, now uint64, max int) [][]byte
 	// Sink, when set, consumes transmitted frames instead of looping
-	// them back.
+	// them back.  Each frame it receives is its own: the NIC keeps no
+	// reference to it.
 	Sink func(queue int, frame []byte, now uint64)
 
 	// Intr, when set, receives coalesced completion interrupts: VecNIC
@@ -213,7 +215,8 @@ func (n *RingNIC) Stats() DevStats {
 
 // transmit is the wire core shared by every send path: chaos seam first
 // (the wire can eat any frame), then the size gate, then delivery to the
-// Sink or the loopback backlog.  Caller holds n.mu.
+// Sink or the loopback backlog.  It takes ownership of frame, which the
+// caller must not touch afterwards.  Caller holds n.mu.
 func (n *RingNIC) transmit(queue int, frame []byte, now uint64) error {
 	if n.Chaos != nil && n.Chaos.Should(faultinject.ClassNetIO) {
 		n.Dropped++
@@ -223,14 +226,13 @@ func (n *RingNIC) transmit(queue int, frame []byte, now uint64) error {
 	if len(frame) == 0 || len(frame) > n.MTU {
 		return fmt.Errorf("nic: bad frame size %d", len(frame))
 	}
-	cp := append([]byte(nil), frame...)
 	n.TxFrames++
 	n.TxBytes += uint64(len(frame))
 	if n.Sink != nil {
-		n.Sink(queue, cp, now)
+		n.Sink(queue, frame, now)
 		return nil
 	}
-	n.backlog[queue] = append(n.backlog[queue], cp)
+	n.backlog[queue] = append(n.backlog[queue], frame)
 	return nil
 }
 
@@ -255,11 +257,12 @@ func (n *RingNIC) rxPop(queue int) []byte {
 	return f
 }
 
-// Send transmits one frame synchronously on queue 0 (legacy path).
+// Send transmits a copy of one frame synchronously on queue 0 (legacy
+// path); the caller keeps frame.
 func (n *RingNIC) Send(frame []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.transmit(0, frame, 0)
+	return n.transmit(0, bytes.Clone(frame), 0)
 }
 
 // Recv pops the next received frame on queue 0 (nil when empty).
@@ -276,7 +279,7 @@ func (n *RingNIC) CompatSend(frame []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.Doorbells++
-	err := n.transmit(0, frame, 0)
+	err := n.transmit(0, bytes.Clone(frame), 0)
 	if err != nil {
 		n.BatchHist[histBucket(0)]++
 		return err

@@ -98,6 +98,23 @@ func TestDoorbellTxLoopback(t *testing.T) {
 	}
 }
 
+// TestSendKeepsCallerBuffer checks the transmit ownership rule: Send and
+// CompatSend hand the wire a copy, so a caller reusing its buffer cannot
+// rewrite a frame already sent.
+func TestSendKeepsCallerBuffer(t *testing.T) {
+	n := NewRingNIC()
+	for _, send := range []func([]byte) error{n.Send, n.CompatSend} {
+		buf := []byte("frame")
+		if err := send(buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "XXXXX")
+		if got := n.Recv(); string(got) != "frame" {
+			t.Errorf("sent frame reads %q after the caller reused its buffer", got)
+		}
+	}
+}
+
 // TestMaliciousProducer drives hostile producer indices and descriptors:
 // every attack must degrade to clamps and per-descriptor errors, never an
 // error return (let alone a fault) from the host.
