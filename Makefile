@@ -1,7 +1,7 @@
 # Tier-1 gate plus the race-sensitive packages this repo parallelizes.
 GO ?= go
 
-.PHONY: all build test vet lint race check equiv bench tables chaos netsmoke domsmoke smpsmoke16
+.PHONY: all build test vet lint race check equiv bench benchbuild tables chaos netsmoke domsmoke smpsmoke16
 
 all: check
 
@@ -58,7 +58,13 @@ domsmoke:
 smpsmoke16:
 	$(GO) test -race -run 'TestSMPDispatch|TestSMPSmoke16' ./internal/kernel/ ./internal/faultinject/campaign/
 
-check: build lint test equiv race netsmoke domsmoke smpsmoke16
+# The benchmark (bench/) is a nested Go module that ./... does not reach:
+# compile and vet it so an API change in the main module cannot silently
+# break it.  Needs no network (bench/go.mod only replaces sva => ../).
+benchbuild:
+	cd bench && $(GO) vet .
+
+check: build lint test equiv race netsmoke domsmoke smpsmoke16 benchbuild
 
 # Fixed-seed fault-injection smoke: three classes through sva-run plus a
 # one-seed-per-class campaign table.  Any host escape fails the target.

@@ -213,47 +213,44 @@ func BenchmarkVerifier_BugInjection(b *testing.B) {
 	b.ReportMetric(float64(detected), "bugs-detected-of-4")
 }
 
-// --- check cache and parallel harness (this PR's optimizations) -------------
+// --- check lookup path and parallel harness --------------------------------
 
-// benchPoolCheck drives LoadStoreCheck over a 2-address hot set (the
-// common shape: one buffer plus one metadata object) with the last-hit
-// cache on or off.
-func benchPoolCheck(b *testing.B, noCache bool) {
+// BenchmarkCheck drives LoadStoreCheckCPU over a 2-address hot set (the
+// common shape: one buffer plus one metadata object).  The 64 objects share
+// one page, so every lookup takes the overflow-page tree path.
+func BenchmarkCheck(b *testing.B) {
 	p := metapool.NewPool("bench", false, true, 0)
-	p.NoCache = noCache
 	for i := uint64(0); i < 64; i++ {
-		if err := p.Register(0x1000+i*64, 64, metapool.TagHeap); err != nil {
+		if err := p.RegisterCPU(0, 0x1000+i*64, 64, metapool.TagHeap); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := p.LoadStoreCheck(0x1000 + uint64(i%2)*64 + 8); err != nil {
+		if err := p.LoadStoreCheckCPU(0, 0x1000+uint64(i%2)*64+8); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(p.SplayLookups())/float64(b.N), "splay/op")
 }
 
-func BenchmarkCheck_Cached(b *testing.B)   { benchPoolCheck(b, false) }
-func BenchmarkCheck_Uncached(b *testing.B) { benchPoolCheck(b, true) }
-
-// BenchmarkChecksCache_Table7Safe runs the Table 7 latency battery on the
-// safe kernel twice — cache on and cache off — and reports how many splay
-// lookups the last-hit cache eliminates (the §7.1.3 optimization).
-func BenchmarkChecksCache_Table7Safe(b *testing.B) {
-	battery := func(noCache bool) (splay, hits, misses uint64) {
+// BenchmarkChecks_Table7Safe runs the Table 7 latency battery on the safe
+// kernel and reports which share of its check lookups the page map
+// answers, and how many splay-tree lookups the battery pays for (the
+// §7.1.3 cost; every pchk.drop.obj finds its object in a tree too).
+func BenchmarkChecks_Table7Safe(b *testing.B) {
+	var pmPct, splay float64
+	for i := 0; i < b.N; i++ {
 		r, err := hbench.NewRunner()
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Boot the safe system first so the toggle covers exactly the
+		// Boot the safe system first so the counters cover exactly the
 		// measured battery, not kernel initialization.
 		if _, err := r.Measure(vm.ConfigSafe, "lat_getpid", 1); err != nil {
 			b.Fatal(err)
 		}
 		sys := r.Systems[vm.ConfigSafe]
-		sys.VM.Pools.SetCacheDisabled(noCache)
 		lk := func() uint64 {
 			var n uint64
 			for _, p := range sys.VM.Pools.Snapshot().Pools {
@@ -268,17 +265,12 @@ func BenchmarkChecksCache_Table7Safe(b *testing.B) {
 			}
 		}
 		st := sys.VM.Pools.TotalStats()
-		return lk() - base, st.CacheHits - baseStats.CacheHits, st.CacheMisses - baseStats.CacheMisses
+		pm, tree := st.PageHits-baseStats.PageHits, st.CacheMisses-baseStats.CacheMisses
+		pmPct = 100 * float64(pm) / float64(pm+tree)
+		splay = float64(lk() - base)
 	}
-	var ratio, hitPct float64
-	for i := 0; i < b.N; i++ {
-		cachedSplay, hits, misses := battery(false)
-		uncachedSplay, _, _ := battery(true)
-		ratio = float64(uncachedSplay) / float64(cachedSplay)
-		hitPct = 100 * float64(hits) / float64(hits+misses)
-	}
-	b.ReportMetric(ratio, "splay-lookup-ratio")
-	b.ReportMetric(hitPct, "cache-hit-%")
+	b.ReportMetric(pmPct, "pagemap-hit-%")
+	b.ReportMetric(splay, "splay-lookups")
 }
 
 // benchTableHarness regenerates the Table 7 rows with the given worker

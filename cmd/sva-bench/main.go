@@ -9,7 +9,7 @@
 //	sva-bench -table=7          kernel operation latency overheads
 //	sva-bench -table=8          kernel bandwidth reduction
 //	sva-bench -table=9          static safety metrics
-//	sva-bench -table=checks     run-time check / last-hit cache statistics
+//	sva-bench -table=checks     run-time check / metapool lookup statistics
 //	sva-bench -table=profile    virtual-cycle profile of the Table 7 battery
 //	sva-bench -table=exploits   §7.2 exploit detection matrix
 //	sva-bench -table=tcb        §5 verifier bug-injection experiment

@@ -185,9 +185,9 @@ func printStats(s telemetry.Snapshot) {
 			continue
 		}
 		active++
-		fmt.Printf("pool %-16s objs=%-5d bounds=%-7d b-elide=%-7d ls=%-5d cache-hit=%-7d cache-miss=%-5d splay-depth=%d\n",
+		fmt.Printf("pool %-16s objs=%-5d bounds=%-7d b-elide=%-7d ls=%-5d pm-hit=%-7d tree-path=%-5d splay-depth=%d\n",
 			p.Name, p.Objects, st.BoundsChecks, st.ElidedBounds, st.LSChecks,
-			st.CacheHits, st.CacheMisses, p.SplayDepth)
+			st.PageHits, st.CacheMisses, p.SplayDepth)
 	}
 	fmt.Printf("pools: %d total, %d with check activity; indirect-call checks=%d violations=%d\n",
 		len(s.Checks.Pools), active, s.Checks.ICChecks, s.Checks.ICViolations)

@@ -36,13 +36,13 @@ func TestSplayCorruptionFailsClosed(t *testing.T) {
 		inj := faultinject.New(faultinject.ClassSplay, seed)
 		inj.SetInterval(1)
 		const base, size = 0x1000, 64
-		if err := p.Register(base, size, 0); err != nil {
+		if err := p.RegisterCPU(0, base, size, 0); err != nil {
 			t.Fatal(err)
 		}
 		p.chaos = inj
 		// The check that triggers the corruption must not succeed with
 		// out-of-object bounds: base+size is one past the object.
-		err := p.BoundsCheck(base, base+size)
+		err := p.BoundsCheckCPU(0, base, base+size)
 		if err == nil {
 			t.Errorf("seed %d: bounds check passed against corrupted metadata", seed)
 			continue
@@ -53,7 +53,7 @@ func TestSplayCorruptionFailsClosed(t *testing.T) {
 		}
 		if p.IsQuarantined() {
 			// Once quarantined, every later check fails closed too.
-			if err := p.LoadStoreCheck(base); err == nil {
+			if err := p.LoadStoreCheckCPU(0, base); err == nil {
 				t.Errorf("seed %d: quarantined pool passed a load/store check", seed)
 			}
 		}
@@ -72,21 +72,21 @@ func TestQuarantineIdempotent(t *testing.T) {
 		r = NewRegistry()
 		p = NewPool("MPQ", false, true, 0)
 		r.AddPool(p)
-		if err := p.Register(0x2000, 32, 0); err != nil {
+		if err := p.RegisterCPU(0, 0x2000, 32, 0); err != nil {
 			t.Fatal(err)
 		}
 		inj := faultinject.New(faultinject.ClassSplay, seed)
 		inj.SetInterval(1)
 		p.chaos = inj
-		_ = p.LoadStoreCheck(0x2000)
+		_ = p.LoadStoreCheckCPU(0, 0x2000)
 		p.chaos = nil
 	}
 	if !p.IsQuarantined() {
 		t.Fatal("no seed in 1..32 produced a quarantining corruption")
 	}
 	v1 := p.Stats.Violations
-	_ = p.LoadStoreCheck(0x2000)
-	_ = p.LoadStoreCheck(0x2008)
+	_ = p.LoadStoreCheckCPU(0, 0x2000)
+	_ = p.LoadStoreCheckCPU(0, 0x2008)
 	if p.Stats.Violations <= v1 {
 		t.Error("quarantined pool stopped counting violations")
 	}
@@ -107,11 +107,11 @@ func TestQuarantineIdempotent(t *testing.T) {
 func TestChaosDisarmedIsInert(t *testing.T) {
 	p := NewPool("MPI", false, true, 0)
 	p.chaos = faultinject.New(faultinject.ClassOOM, 1) // wrong class: never fires here
-	if err := p.Register(0x3000, 16, 0); err != nil {
+	if err := p.RegisterCPU(0, 0x3000, 16, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := p.LoadStoreCheck(0x3000 + uint64(i%16)); err != nil {
+		if err := p.LoadStoreCheckCPU(0, 0x3000+uint64(i%16)); err != nil {
 			t.Fatalf("disarmed pool violated: %v", err)
 		}
 	}

@@ -14,7 +14,7 @@
 //
 //	pin:     slot.Store(era.Load()); read the page map; slot.Store(0)
 //	retire:  e.tag = era.Load(); push e onto the shard's limbo list
-//	reclaim: era.Add(1); min = least nonzero slot across both arrays;
+//	reclaim: era.Add(1); min = least nonzero slot;
 //	         entries with tag < min move limbo → free list
 //
 // Why it is safe (all atomics are sequentially consistent in Go):
@@ -28,13 +28,11 @@
 // the same reason: every plain access to a recycled entry's Range is
 // separated by a synchronizes-with edge through the reader's slot.
 //
-// Two slot arrays exist because the read path (findCPU) and the write-side
-// page-map precheck (tryAbsorb) can run concurrently on behalf of the same
-// slot: a VCPU-0 reader and the legacy non-CPU wrappers both map to slot
-// 0.  Each array has at most one concurrent user per slot (one goroutine
-// per VCPU on each side), which is all the scheme needs — and which pin
-// enforces: a pin that finds its slot already nonzero panics rather than
-// silently overwriting another reader's announcement.
+// There is one slot array, one slot per VCPU, and only the lookup path
+// (findCPU) pins.  Each slot therefore has at most one concurrent user —
+// the goroutine running that VCPU — which is all the scheme needs, and
+// which pinR enforces: a pin that finds its slot already nonzero panics
+// rather than silently overwriting another reader's announcement.
 package metapool
 
 import (
@@ -44,7 +42,7 @@ import (
 )
 
 // limboThreshold is how many retired entries a shard accumulates before
-// paying for a reclaim pass (an era bump plus a 2×gateSlots slot scan).
+// paying for a reclaim pass (an era bump plus a gateSlots slot scan).
 const limboThreshold = 64
 
 // ebrSlot is one padded epoch-announcement slot: 0 when idle, the era the
@@ -61,23 +59,13 @@ type ebrSlot struct {
 // scheme rests on: a nonzero prior value proves a second user entered the
 // slot while the first was still pinned — two overwriting pins would let a
 // reclaim pass free an entry the earlier reader still dereferences, so
-// fail loudly instead.  In practice that means two host threads in the
-// legacy non-CPU wrappers (find/Register/Drop/Contains all map to slot 0),
-// or one of them racing VCPU 0.  On amd64 a seq-cst Store compiles to XCHG
-// anyway, so the check costs one predictable branch.
+// fail loudly instead.  In practice that means two host threads checking
+// on behalf of the same VCPU number.  On amd64 a seq-cst Store compiles to
+// XCHG anyway, so the check costs one predictable branch.
 func (p *Pool) pinR(cpu int) *ebrSlot {
 	s := &p.ebrR[gslot(cpu)]
 	if s.e.Swap(p.era.Load()) != 0 {
-		panic("metapool: concurrent EBR reader pins on one slot — legacy non-CPU wrappers are single-threaded-setup only")
-	}
-	return s
-}
-
-// pinW is pinR for the write-side page-map precheck (tryAbsorb).
-func (p *Pool) pinW(cpu int) *ebrSlot {
-	s := &p.ebrW[gslot(cpu)]
-	if s.e.Swap(p.era.Load()) != 0 {
-		panic("metapool: concurrent EBR writer pins on one slot — legacy non-CPU wrappers are single-threaded-setup only")
+		panic("metapool: concurrent EBR reader pins on one slot — each VCPU number must have one checking goroutine")
 	}
 	return s
 }
@@ -104,9 +92,6 @@ func (p *Pool) reclaim(sh *objShard) {
 	min := ^uint64(0)
 	for i := 0; i < gateSlots; i++ {
 		if e := p.ebrR[i].e.Load(); e != 0 && e < min {
-			min = e
-		}
-		if e := p.ebrW[i].e.Load(); e != 0 && e < min {
 			min = e
 		}
 	}

@@ -13,11 +13,10 @@
 //
 // Concurrency: pools are shared by every virtual CPU of an SMP guest.
 // Page-map reads are lock-free (entries retired through epoch-based
-// reclamation, epoch.go); per-VCPU statistics shards, last-hit caches and
-// pending caches are owner-written.  The write path is sharded by address
-// region (shard.go): registrations are absorbed on per-CPU pending caches
-// (pending.go) or inserted into per-region splay trees under per-shard
-// locks, with a brlock gate arbitrating the rare wide-object operations.
+// reclamation, epoch.go); per-VCPU statistics shards are owner-written.
+// The write path is sharded by address region (shard.go): registrations
+// go into per-region splay trees under per-shard locks, with a brlock gate
+// arbitrating the rare wide-object operations.
 // Checks deliberately run unserialized against registration: a guest that
 // races an access against a free gets a racy verdict, exactly as it would
 // on SMP hardware; a guest whose accesses are ordered by its own locks
@@ -96,16 +95,6 @@ func (v *Violation) Error() string {
 // one type.
 type Stats = telemetry.CheckStats
 
-// hitCache is one VCPU's last-hit cache: the most recently found objects,
-// most recent first.  Each cache is written only by its owning VCPU;
-// invalidation is by generation — a mutation of the object set bumps the
-// pool epoch, and a cache whose recorded epoch is stale starts empty.
-type hitCache struct {
-	epoch uint64
-	n     int
-	r     [2]splay.Range
-}
-
 // Pool is one run-time metapool.
 type Pool struct {
 	Name string
@@ -134,47 +123,24 @@ type Pool struct {
 	gate brGate
 
 	// Epoch-based reclamation state for recycled page entries (epoch.go).
-	era        atomic.Uint64
-	ebrR, ebrW [gateSlots]ebrSlot
+	era  atomic.Uint64
+	ebrR [gateSlots]ebrSlot
 
 	// pm is the O(1) shadow page map in front of the trees; unmapped
 	// counts objects it cannot represent (while nonzero, a page-map miss
-	// is not definitive).  epoch is the object-set generation used to
-	// invalidate the per-VCPU last-hit caches.
+	// is not definitive).
 	pm       pageMap
 	unmapped atomic.Uint64
-	epoch    atomic.Uint64
 	// NoPageMap disables the page-map fast path, forcing every lookup
-	// through the last-hit cache and splay trees (the splay-only
-	// configuration the equivalence property test and the lookup
-	// microbenchmark compare against).  It also disables the pending
-	// caches, whose invariants lean on page-map bookkeeping.
+	// through the splay trees (the splay-only configuration the
+	// equivalence property tests and the lookup microbenchmark compare
+	// against).
 	NoPageMap bool
 
-	// cache0 is VCPU 0's last-hit cache (always present, so single-CPU
-	// pools allocate nothing extra); caches holds one per VCPU once
-	// setVCPUs ran.
-	cache0 hitCache
-	caches []*hitCache
-	// NoCache disables the last-hit cache, forcing every slow-path lookup
-	// through the splay trees (used to benchmark the uncached path).
-	NoCache bool
-
-	// pend0 is VCPU 0's pending cache (pending.go); pends holds one per
-	// VCPU.  NoPend disables absorption (every registration goes through
-	// the shard trees), used by tests that pin exact tree traffic.
-	pend0  pendCache
-	pends  []*pendCache
-	NoPend bool
-	// pendRegion counts pended entries by address-region bucket across all
-	// caches (pending.go): the lock-free gate that lets lookups call a
-	// page-map miss definitive and lets an absorb skip every other cache.
-	pendRegion [pendBuckets]pendCounter
-
-	// SingleLock serializes every write-path operation on one mutex and
-	// disables absorption — a faithful stand-in for the pre-sharding
-	// write path, kept so the concurrent-registration microbenchmark can
-	// measure the sharded paths against the seed behavior.
+	// SingleLock serializes every write-path operation on one mutex — a
+	// faithful stand-in for the pre-sharding write path, kept so the
+	// concurrent-registration microbenchmark can measure the sharded
+	// paths against the seed behavior.
 	SingleLock bool
 	slmu       sync.Mutex
 
@@ -204,9 +170,7 @@ type Pool struct {
 
 	// Cold write-path counters with no single owning VCPU, folded into
 	// mergedStats: batched counts sva.pool.regbatch calls, eraReclaimed
-	// counts epoch reclaim passes.  (Absorbed/Spilled are per-VCPU Stats
-	// fields: they are hot enough that a shared atomic would put one
-	// contended RMW on every absorbed registration.)
+	// counts epoch reclaim passes.
 	batched      atomic.Uint64
 	eraReclaimed atomic.Uint64
 
@@ -220,25 +184,19 @@ type Pool struct {
 // NewPool creates a metapool.
 func NewPool(name string, typeHomogeneous, complete bool, elemSize uint64) *Pool {
 	p := &Pool{Name: name, TypeHomogeneous: typeHomogeneous, Complete: complete, ElemSize: elemSize}
-	p.pends = []*pendCache{&p.pend0}
 	p.era.Store(1) // 0 is the "idle" EBR slot value
 	return p
 }
 
-// setVCPUs sizes the per-VCPU statistics shards, last-hit caches and
-// pending caches.  Must be called before the VCPUs start running.
+// setVCPUs sizes the per-VCPU statistics shards.  Must be called before
+// the VCPUs start running.
 func (p *Pool) setVCPUs(n int) {
 	for len(p.shards) < n {
 		if len(p.shards) == 0 {
 			p.shards = append(p.shards, &p.Stats)
-			p.caches = append(p.caches, &p.cache0)
 			continue
 		}
 		p.shards = append(p.shards, &Stats{})
-		p.caches = append(p.caches, &hitCache{})
-	}
-	for len(p.pends) < n {
-		p.pends = append(p.pends, &pendCache{})
 	}
 }
 
@@ -248,14 +206,6 @@ func (p *Pool) stats(cpu int) *Stats {
 		return p.shards[cpu]
 	}
 	return &p.Stats
-}
-
-// cache returns cpu's last-hit cache.
-func (p *Pool) cache(cpu int) *hitCache {
-	if cpu > 0 && cpu < len(p.caches) {
-		return p.caches[cpu]
-	}
-	return &p.cache0
 }
 
 // mergedStats sums the per-VCPU shards plus the pool-level write-path
@@ -287,75 +237,40 @@ func (p *Pool) userRange(addr uint64) (splay.Range, bool) {
 	return splay.Range{}, false
 }
 
-// find looks up the object containing addr on behalf of VCPU 0.  Under
-// SMP this attributes the lookup to VCPU 0's shard regardless of the
-// calling VCPU; see the per-CPU attribution note on Register.
-func (p *Pool) find(addr uint64) (splay.Range, bool) { return p.findCPU(0, addr) }
-
 // findCPU looks up the object containing addr.  The page map answers the
 // common cases in O(1) without locks (under an epoch pin, so a concurrent
-// drop cannot recycle the entry mid-read); everything else goes through
-// cpu's last-hit cache, the pending caches, and the splay trees.
+// drop cannot recycle the entry mid-read); overflow pages, unmapped
+// objects, the NoPageMap configuration and armed fault injection go to
+// the splay trees.
 func (p *Pool) findCPU(cpu int, addr uint64) (splay.Range, bool) {
 	if p.quarantined.Load() {
 		return splay.Range{}, false // fail closed: metadata is untrusted
 	}
 	if p.chaos == nil && !p.NoPageMap {
-		st := p.stats(cpu)
 		s := p.pinR(cpu)
 		r, v := p.pm.lookup(addr)
 		s.e.Store(0) // r is a copy; the entry is no longer referenced
-		switch v {
-		case pmHit, pmMiss:
-			if v == pmHit && r.Contains(addr) {
-				st.PageHits++
-				return r, true
-			}
-			// The page holds no object containing addr.  With no unmapped
-			// objects that verdict is complete for the trees, so only the
-			// pending caches can still answer — no tree visit either way.
-			if p.unmapped.Load() != 0 {
-				break // unmapped objects: only the slow path knows
-			}
-			if !p.pendMayContain(addr) {
-				st.PageHits++
-				return splay.Range{}, false
-			}
-			c := p.cache(cpu)
-			if cr, ok := p.cacheLookup(c, st, addr); ok {
-				return cr, true
-			}
-			if pr, ok := p.findInPends(cpu, addr); ok {
-				st.PendHits++
-				p.cacheInsert(c, pr)
-				return pr, true
-			}
-			st.PageHits++ // the page map's verdict stood
+		if v == pmHit && r.Contains(addr) {
+			p.stats(cpu).PageHits++
+			return r, true
+		}
+		// The page holds no object containing addr.  With no unmapped
+		// objects that verdict is complete: a definitive miss.
+		if v != pmSlow && p.unmapped.Load() == 0 {
+			p.stats(cpu).PageHits++
 			return splay.Range{}, false
 		}
 	}
 	return p.findSlow(cpu, addr)
 }
 
-// findSlow is the tree path: overflow pages, unmapped or pended objects,
-// the NoPageMap configuration, and every lookup while fault injection is
-// armed.  CacheHits counts lookups the last-hit cache absorbed; PendHits
-// counts lookups answered by a pending cache; CacheMisses counts lookups
-// that reached a tree (PageHits, above, counts lookups the page map
-// answered before any of them).
+// findSlow is the tree path: the owning region shard's tree, then the wide
+// tree while wide objects exist.  CacheMisses counts the lookups that take
+// it (PageHits, above, counts the lookups the page map answered).
 func (p *Pool) findSlow(cpu int, addr uint64) (splay.Range, bool) {
 	st := p.stats(cpu)
 	if p.chaos != nil {
-		p.chaosPrep(st)
-	}
-	c := p.cache(cpu)
-	if r, ok := p.cacheLookup(c, st, addr); ok {
-		return r, true
-	}
-	if r, ok := p.findInPends(cpu, addr); ok {
-		st.PendHits++
-		p.cacheInsert(c, r)
-		return r, true
+		p.chaosPrep()
 	}
 	st.CacheMisses++ // this lookup pays for a tree descent
 	sh := &p.obj[shardIndex(addr)]
@@ -386,47 +301,7 @@ func (p *Pool) findSlow(cpu int, addr uint64) (splay.Range, bool) {
 			return splay.Range{}, false
 		}
 	}
-	if ok {
-		p.cacheInsert(c, r)
-	}
 	return r, ok
-}
-
-// cacheLookup consults cpu's last-hit cache (epoch-checked, move-to-front),
-// counting a CacheHit on success.  Misses are not counted here: the lookup
-// counters are disjoint — each lookup lands in exactly one of PageHits,
-// CacheHits, PendHits, or CacheMisses (the tree-path count) — so the
-// caller charges whichever structure finally answers.  A no-op returning
-// false when the cache is disabled.
-func (p *Pool) cacheLookup(c *hitCache, st *Stats, addr uint64) (splay.Range, bool) {
-	if p.NoCache {
-		return splay.Range{}, false
-	}
-	if e := p.epoch.Load(); c.epoch != e {
-		c.epoch, c.n = e, 0
-	}
-	for i := 0; i < c.n; i++ {
-		if c.r[i].Contains(addr) {
-			st.CacheHits++
-			if i != 0 {
-				c.r[0], c.r[i] = c.r[i], c.r[0]
-			}
-			return c.r[0], true
-		}
-	}
-	return splay.Range{}, false
-}
-
-// cacheInsert move-to-front inserts r into c; the oldest entry falls off.
-func (p *Pool) cacheInsert(c *hitCache, r splay.Range) {
-	if p.NoCache {
-		return
-	}
-	c.r[1] = c.r[0]
-	c.r[0] = r
-	if c.n < len(c.r) {
-		c.n++
-	}
 }
 
 // rangeValid is the plausibility filter on ranges coming back from a
@@ -442,7 +317,6 @@ func (p *Pool) quarantine(r splay.Range) {
 	if p.quarantined.Swap(true) {
 		return
 	}
-	p.invalidate()
 	p.emitTrace(telemetry.EvQuarantine, []uint64{r.Start, r.Len},
 		"splay metadata failed validation")
 }
@@ -467,12 +341,10 @@ func (p *Pool) corruptionErr(st *Stats, addr uint64) error {
 }
 
 // chaosPrep runs before every lookup while fault injection is armed: it
-// drains the pending caches (the injector must see — and may corrupt —
-// the complete object set) and rolls the injection dice.  Exclusive gate:
-// chaos runs are cold by construction.
-func (p *Pool) chaosPrep(st *Stats) {
+// rolls the injection dice under the exclusive gate, so the injector sees
+// a stable object set.  Chaos runs are cold by construction.
+func (p *Pool) chaosPrep() {
 	p.gate.lockAll()
-	p.drainPends(st)
 	if p.chaos.Should(faultinject.ClassSplay) {
 		p.corruptNode()
 	}
@@ -538,29 +410,8 @@ func (p *Pool) corruptNode() {
 	if ok {
 		p.chaos.Note("splay.find", "pool %s shard %d node %d was %v, mode %d",
 			p.Name, hit, k, old, mode)
-		// Drop cached copies of the pre-corruption range: the fault model
-		// is a damaged node, not a damaged node plus a helpful cache.
-		p.invalidate()
 	}
 }
-
-// invalidate bumps the object-set epoch, emptying every VCPU's last-hit
-// cache at its next lookup.  Called AFTER every removal from the object
-// set (Drop, stale-stack eviction, node corruption, Reset) — a cached
-// range may be the one just removed.  Registrations never invalidate: the
-// caches hold only positive hits, and adding an object cannot stale a
-// positive.
-//
-// The bump must follow the removal in program order.  A slow-path reader
-// locks only the owning shard: it loads the epoch, finds the object, and
-// caches it after unlocking.  If it found the object, its tree read
-// preceded the removal, so its epoch load preceded the post-removal bump
-// and its cache entry carries the pre-bump epoch — dead on arrival.
-// Bumping BEFORE the removal leaves a window where a racing reader caches
-// the doomed object under the new epoch and then serves it indefinitely,
-// turning one racy lookup into wrong verdicts for later accesses the
-// guest properly ordered after the free.
-func (p *Pool) invalidate() { p.epoch.Add(1) }
 
 // growMaxObj raises the largest-ever-object watermark to at least n.
 func (p *Pool) growMaxObj(n uint64) {
@@ -578,17 +429,11 @@ const (
 	TagStack = 1
 )
 
-// RegisterStack records a stack object (VCPU 0).
-func (p *Pool) RegisterStack(addr, size uint64) error {
-	return p.RegisterStackCPU(0, addr, size)
-}
-
 // RegisterStackCPU records a stack object.  A conflicting *stale stack*
 // registration — left behind when a task died without unwinding its kernel
 // frames — is evicted first: its frame is gone, so the registration cannot
 // correspond to a live object.  Conflicts with non-stack objects are real
-// violations.  Stack objects never use the pending caches: the eviction
-// protocol wants one coherent view of prior frames.
+// violations.
 func (p *Pool) RegisterStackCPU(cpu int, addr, size uint64) error {
 	if size == 0 {
 		return nil
@@ -597,31 +442,10 @@ func (p *Pool) RegisterStackCPU(cpu int, addr, size uint64) error {
 		p.slmu.Lock()
 		defer p.slmu.Unlock()
 	}
-	return p.registerSlow(cpu, splay.Range{Start: addr, Len: size, Tag: TagStack}, true)
-}
-
-// Register records a new object [addr, addr+size) on behalf of VCPU 0.
-//
-// Per-CPU attribution note: this legacy wrapper (and Drop, find,
-// NoteElidedBounds, NoteElidedLS, Contains) charges VCPU 0's statistics
-// shard no matter which host thread calls it.  The SMP kernel paths all
-// use the *CPU variants; callers without a VCPU identity are by definition
-// single-threaded setup/teardown code, so the skew is confined to shard 0
-// and merged snapshots (mergedStats) are exact either way — the
-// TestPerCPUStatsMerge regression pins that.
-//
-// Concurrency restriction: the legacy wrappers all share VCPU 0's epoch
-// slot, whose reclamation safety assumes one concurrent user per slot.
-// Calling them from two host threads at once — or from one host thread
-// while VCPU 0 is running — is a misuse that pin (epoch.go) detects and
-// panics on rather than risking a use-after-reclaim.
-func (p *Pool) Register(addr, size uint64, tag uint32) error {
-	return p.RegisterCPU(0, addr, size, tag)
+	return p.register(cpu, splay.Range{Start: addr, Len: size, Tag: TagStack}, true)
 }
 
 // RegisterCPU records a new object [addr, addr+size) (pchk.reg.obj).
-// Fast path: absorb into cpu's pending cache (pending.go); otherwise the
-// sharded classic path.
 func (p *Pool) RegisterCPU(cpu int, addr, size uint64, tag uint32) error {
 	if size == 0 {
 		return nil // zero-sized allocations register nothing
@@ -630,16 +454,13 @@ func (p *Pool) RegisterCPU(cpu int, addr, size uint64, tag uint32) error {
 		p.slmu.Lock()
 		defer p.slmu.Unlock()
 	}
-	rg := splay.Range{Start: addr, Len: size, Tag: tag}
-	if p.tryAbsorb(cpu, rg) {
-		return nil
-	}
-	return p.registerSlow(cpu, rg, false)
+	return p.register(cpu, splay.Range{Start: addr, Len: size, Tag: tag}, false)
 }
 
-// registerSlow is the shared-structure registration path.  stack selects
-// the stale-stack eviction protocol (RegisterStackCPU).
-func (p *Pool) registerSlow(cpu int, rg splay.Range, stack bool) error {
+// register is the sharded registration path: narrow objects under the
+// shared gate, wide ones under the exclusive gate.  stack selects the
+// stale-stack eviction protocol (RegisterStackCPU).
+func (p *Pool) register(cpu int, rg splay.Range, stack bool) error {
 	st := p.stats(cpu)
 	p.growMaxObj(rg.Len)
 	if narrow(rg) {
@@ -659,8 +480,8 @@ func (p *Pool) registerSlow(cpu int, rg splay.Range, stack bool) error {
 }
 
 // registerNarrow inserts a narrow object under the shared gate: one wide
-// overlap probe (skipped while no wide object exists), a flush of
-// overlapping pended entries, then the owning shard's tree.  Returns
+// overlap probe (skipped while no wide object exists), then the owning
+// shard's tree.  Returns
 // retryWide when a stale wide stack frame must be evicted first.
 func (p *Pool) registerNarrow(st *Stats, rg splay.Range, stack bool) (err error, retryWide bool) {
 	if p.wideCount.Load() != 0 {
@@ -675,7 +496,6 @@ func (p *Pool) registerNarrow(st *Stats, rg splay.Range, stack bool) (err error,
 			return p.conflictErr(rg, stack), false
 		}
 	}
-	p.flushOverlapping(st, rg.Start, rg.End())
 	sh := &p.obj[shardIndex(rg.Start)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -689,7 +509,6 @@ func (p *Pool) registerNarrow(st *Stats, rg splay.Range, stack bool) (err error,
 			if old, ok := sh.tree.FindOverlap(rg.Start, rg.Len); ok && old.Tag == TagStack {
 				sh.tree.Remove(old.Start)
 				p.pmRemoveShard(sh, old)
-				p.invalidate() // after the removal: the evicted frame may be cached
 				continue
 			}
 		}
@@ -700,9 +519,7 @@ func (p *Pool) registerNarrow(st *Stats, rg splay.Range, stack bool) (err error,
 
 // registerWide inserts an object under the exclusive gate: wide objects,
 // and narrow registrations that must evict a stale wide stack frame.
-// Pending caches drain first so conflict detection sees everything.
 func (p *Pool) registerWide(st *Stats, rg splay.Range, stack bool) error {
-	p.drainPends(st)
 	if rg.Start+rg.Len < rg.Start {
 		// Wraparound: the tree would reject it; classify as the
 		// registration conflict the seed path reported.
@@ -716,7 +533,6 @@ func (p *Pool) registerWide(st *Stats, rg splay.Range, stack bool) error {
 		}
 		if stack && old.Tag == TagStack {
 			p.removeObjectLocked(old)
-			p.invalidate() // after the removal: the evicted frame may be cached
 			continue
 		}
 		st.Violations++
@@ -752,12 +568,6 @@ func (p *Pool) conflictErr(rg splay.Range, stack bool) error {
 // guest-controlled).
 const maxBatch = 4096
 
-// RegisterBatch records n objects of esize bytes starting at base
-// (VCPU 0).
-func (p *Pool) RegisterBatch(base, n, esize uint64) error {
-	return p.RegisterBatchCPU(0, base, n, esize)
-}
-
 // RegisterBatchCPU records n contiguous objects of esize bytes starting at
 // base — the slab-refill shape (sva.pool.regbatch).  Semantically
 // identical to n RegisterCPU calls; the fast path registers the whole
@@ -785,7 +595,6 @@ func (p *Pool) RegisterBatchCPU(cpu int, base, n, esize uint64) error {
 		p.growMaxObj(esize)
 		g := p.gate.rlock(cpu)
 		if p.wideCount.Load() == 0 {
-			p.flushOverlapping(st, whole.Start, whole.End())
 			sh := &p.obj[shardIndex(base)]
 			sh.mu.Lock()
 			for i := uint64(0); i < n; i++ {
@@ -804,7 +613,7 @@ func (p *Pool) RegisterBatchCPU(cpu int, base, n, esize uint64) error {
 			return nil
 		}
 		// Wide objects live: the element-at-a-time fallback re-acquires the
-		// gate slot per element (tryAbsorb, registerSlow), and sync.RWMutex
+		// gate slot per element (register), and sync.RWMutex
 		// forbids recursive RLock — a concurrent lockAll between the two
 		// acquisitions would deadlock.  Release ours before entering it.
 		p.gate.runlock(g)
@@ -813,25 +622,18 @@ func (p *Pool) RegisterBatchCPU(cpu int, base, n, esize uint64) error {
 	// chaos armed): element-at-a-time through the classic paths.
 	for i := uint64(0); i < n; i++ {
 		rg := splay.Range{Start: base + i*esize, Len: esize, Tag: TagHeap}
-		if p.tryAbsorb(cpu, rg) {
-			continue
-		}
-		if err := p.registerSlow(cpu, rg, false); err != nil {
+		if err := p.register(cpu, rg, false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Drop removes the object starting at addr on behalf of VCPU 0 (see the
-// per-CPU attribution note on Register).
-func (p *Pool) Drop(addr uint64) error { return p.DropCPU(0, addr) }
-
 // DropCPU removes the object starting at addr (pchk.drop.obj).  Dropping a
 // pointer that is not the start of a live object is an illegal free
 // (guarantee T5: no double or illegal frees).  Fast path: the object is
-// still in a pending cache, or narrow in its region shard; only when wide
-// objects exist does a miss escalate to the exclusive gate.
+// narrow in its region shard; only when wide objects exist does a miss
+// escalate to the exclusive gate.
 func (p *Pool) DropCPU(cpu int, addr uint64) error {
 	st := p.stats(cpu)
 	if p.SingleLock {
@@ -839,14 +641,6 @@ func (p *Pool) DropCPU(cpu int, addr uint64) error {
 		defer p.slmu.Unlock()
 	}
 	g := p.gate.rlock(cpu)
-	if dropped, observed := p.dropFromPends(cpu, addr); dropped {
-		p.gate.runlock(g)
-		if observed {
-			p.invalidate()
-		}
-		st.Dropped++
-		return nil
-	}
 	sh := &p.obj[shardIndex(addr)]
 	sh.mu.Lock()
 	if r, ok := sh.tree.FindStart(addr); ok {
@@ -854,7 +648,6 @@ func (p *Pool) DropCPU(cpu int, addr uint64) error {
 		p.pmRemoveShard(sh, r)
 		sh.mu.Unlock()
 		p.gate.runlock(g)
-		p.invalidate()
 		st.Dropped++
 		return nil
 	}
@@ -871,15 +664,14 @@ func (p *Pool) DropCPU(cpu int, addr uint64) error {
 		if ok {
 			p.wideCount.Add(^uint64(0))
 			p.mapRemoveWide(r)
-			p.invalidate()
 			p.gate.unlockAll()
 			st.Dropped++
 			return nil
 		}
 		p.gate.unlockAll()
 	}
-	st.Violations++ // nothing was removed: no invalidation needed
-	if r, ok := p.lookupAny(cpu, addr); ok {
+	st.Violations++
+	if r, ok := p.lookupAny(addr); ok {
 		return &Violation{Kind: IllegalFree, Pool: p.Name, Addr: addr,
 			Msg: fmt.Sprintf("free of interior pointer into %v", r)}
 	}
@@ -887,13 +679,10 @@ func (p *Pool) DropCPU(cpu int, addr uint64) error {
 		Msg: "free of address with no live object (double free?)"}
 }
 
-// lookupAny finds the object containing addr across pends, the owning
-// shard and the wide tree, without page-map help (violation-flavor
-// classification on the drop path).
-func (p *Pool) lookupAny(cpu int, addr uint64) (splay.Range, bool) {
-	if r, ok := p.findInPends(cpu, addr); ok {
-		return r, true
-	}
+// lookupAny finds the object containing addr in the owning shard or the
+// wide tree, without page-map help (violation-flavor classification on the
+// drop path).
+func (p *Pool) lookupAny(addr uint64) (splay.Range, bool) {
 	sh := &p.obj[shardIndex(addr)]
 	sh.mu.Lock()
 	r, ok := sh.tree.Find(addr)
@@ -909,11 +698,6 @@ func (p *Pool) lookupAny(cpu int, addr uint64) (splay.Range, bool) {
 	return r, ok
 }
 
-// GetBounds returns the bounds of the object containing addr (VCPU 0).
-func (p *Pool) GetBounds(addr uint64) (start, end uint64, ok bool) {
-	return p.GetBoundsCPU(0, addr)
-}
-
 // GetBoundsCPU returns the bounds of the object containing addr.
 func (p *Pool) GetBoundsCPU(cpu int, addr uint64) (start, end uint64, ok bool) {
 	if r, ok := p.userRange(addr); ok {
@@ -923,11 +707,6 @@ func (p *Pool) GetBoundsCPU(cpu int, addr uint64) (start, end uint64, ok bool) {
 		return r.Start, r.End(), true
 	}
 	return 0, 0, false
-}
-
-// BoundsCheck verifies an indexing operation on behalf of VCPU 0.
-func (p *Pool) BoundsCheck(src, derived uint64) error {
-	return p.BoundsCheckCPU(0, src, derived)
 }
 
 // BoundsCheckCPU verifies that derived — a pointer computed by indexing
@@ -977,11 +756,6 @@ func (p *Pool) BoundsCheckCPU(cpu int, src, derived uint64) error {
 	return nil // reduced check on incomplete pool: inconclusive
 }
 
-// LoadStoreCheck verifies a load/store pointer on behalf of VCPU 0.
-func (p *Pool) LoadStoreCheck(addr uint64) error {
-	return p.LoadStoreCheckCPU(0, addr)
-}
-
 // LoadStoreCheckCPU verifies that a pointer used by a load or store
 // targets a registered object of this pool (pchk.lscheck).  It is only
 // required for non-TH pools; for incomplete pools it is disabled by the
@@ -1009,40 +783,18 @@ func (p *Pool) LoadStoreCheckCPU(cpu int, addr uint64) error {
 		Msg: "access through pointer outside every registered object"}
 }
 
-// NoteElidedBounds records a bounds check the compiler proved redundant
-// at this site (the check itself does not run).  Charges VCPU 0's shard;
-// see the attribution note on Register.
-func (p *Pool) NoteElidedBounds() { p.Stats.ElidedBounds++ }
-
-// NoteElidedBoundsCPU is NoteElidedBounds charged to cpu's shard.
+// NoteElidedBoundsCPU records a bounds check the compiler proved
+// redundant at this site (the check itself does not run), charged to
+// cpu's shard.
 func (p *Pool) NoteElidedBoundsCPU(cpu int) { p.stats(cpu).ElidedBounds++ }
 
-// NoteElidedLS records an elided load-store check (VCPU 0's shard; see
-// the attribution note on Register).
-func (p *Pool) NoteElidedLS() { p.Stats.ElidedLS++ }
-
-// NoteElidedLSCPU is NoteElidedLS charged to cpu's shard.
+// NoteElidedLSCPU records an elided load-store check, charged to cpu's
+// shard.
 func (p *Pool) NoteElidedLSCPU(cpu int) { p.stats(cpu).ElidedLS++ }
 
-// Contains reports whether addr falls in a registered object (no stats).
-func (p *Pool) Contains(addr uint64) bool {
-	if _, ok := p.userRange(addr); ok {
-		return true
-	}
-	_, ok := p.find(addr)
-	return ok
-}
-
-// NumObjects returns the live object count (pended objects included: they
-// are registered and checkable, merely not yet spilled).
+// NumObjects returns the live object count.
 func (p *Pool) NumObjects() int {
 	n := 0
-	for i := range p.pends {
-		c := p.pends[i]
-		c.mu.Lock()
-		n += c.n
-		c.mu.Unlock()
-	}
 	for i := range p.obj {
 		sh := &p.obj[i]
 		sh.mu.Lock()
@@ -1078,17 +830,6 @@ func (p *Pool) Reset() {
 	p.gate.lockAll()
 	defer p.gate.unlockAll()
 	p.emitTrace(telemetry.EvPoolReset, []uint64{uint64(p.NumObjects())}, "")
-	for i := range p.pends {
-		c := p.pends[i]
-		c.mu.Lock()
-		c.n = 0
-		c.hi.Store(0)
-		c.lo.Store(0)
-		c.mu.Unlock()
-	}
-	for i := range p.pendRegion {
-		p.pendRegion[i].c.Store(0)
-	}
 	for i := range p.obj {
 		sh := &p.obj[i]
 		sh.mu.Lock()
@@ -1105,9 +846,6 @@ func (p *Pool) Reset() {
 	p.wideCount.Store(0)
 	p.pm.clear()
 	p.unmapped.Store(0)
-	// Invalidate after the structures are empty — a reader that cached an
-	// object mid-reset did so under the pre-bump epoch (see invalidate).
-	p.invalidate()
 	p.Stats = Stats{}
 	p.batched.Store(0)
 	p.eraReclaimed.Store(0)
@@ -1121,7 +859,7 @@ func (p *Pool) Reset() {
 func (p *Pool) Quarantine() { p.quarantined.Store(true) }
 
 // SplayLookups returns how many lookups reached the pool's splay trees
-// (page-map, last-hit-cache and pending-cache hits never do).
+// (page-map hits never do).
 func (p *Pool) SplayLookups() uint64 {
 	var n uint64
 	for i := range p.obj {
@@ -1170,8 +908,6 @@ type Registry struct {
 	icShards     []*icStat
 	// nvcpu is the shard count applied to pools added after SetVCPUs.
 	nvcpu int
-	// noCache is inherited by pools added after SetCacheDisabled(true).
-	noCache bool
 	// noPageMap is inherited by pools added after SetPageMapDisabled(true).
 	noPageMap bool
 	// trace is inherited by pools added after SetTrace.
@@ -1189,8 +925,8 @@ type icStat struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// SetVCPUs sizes every pool's per-VCPU statistics shards and last-hit
-// caches, plus the registry's indirect-call shards.  Must be called before
+// SetVCPUs sizes every pool's per-VCPU statistics shards plus the
+// registry's indirect-call shards.  Must be called before
 // the VCPUs start running; pools added later inherit the count.
 func (r *Registry) SetVCPUs(n int) {
 	if n < 1 {
@@ -1210,9 +946,6 @@ func (r *Registry) SetVCPUs(n int) {
 // VM and re-creates a pool (same name, possibly the same VA) inherits
 // the old incarnation's fail-closed verdict rather than laundering it.
 func (r *Registry) AddPool(p *Pool) int {
-	if r.noCache {
-		p.NoCache = true
-	}
 	if r.noPageMap {
 		p.NoPageMap = true
 	}
@@ -1296,11 +1029,6 @@ func (r *Registry) AddCallSet(targets map[uint64]bool) int {
 	return len(r.CallSets) - 1
 }
 
-// IndirectCallCheck verifies an indirect call on behalf of VCPU 0.
-func (r *Registry) IndirectCallCheck(id int, target uint64) error {
-	return r.IndirectCallCheckCPU(0, id, target)
-}
-
 // IndirectCallCheckCPU verifies that target is a legal callee for set id
 // (control-flow integrity, guarantee T1).
 func (r *Registry) IndirectCallCheckCPU(cpu, id int, target uint64) error {
@@ -1346,18 +1074,6 @@ func (r *Registry) TotalStats() Stats {
 	return s
 }
 
-// SetCacheDisabled toggles the last-hit cache on every current pool and
-// every pool registered later (benchmarking the uncached check path).
-func (r *Registry) SetCacheDisabled(disabled bool) {
-	r.noCache = disabled
-	for _, p := range r.Pools {
-		p.NoCache = disabled
-		if disabled {
-			p.invalidate()
-		}
-	}
-}
-
 // SetPageMapDisabled toggles the page-map fast path on every current pool
 // and every pool registered later.  The map itself stays maintained, so
 // re-enabling needs no rebuild; only the lookup path changes.  This is the
@@ -1373,7 +1089,7 @@ func (r *Registry) SetPageMapDisabled(disabled bool) {
 // PoolSnapshot is one pool's row in a Registry snapshot.
 type PoolSnapshot = telemetry.PoolStats
 
-// Snapshot captures per-pool check and cache statistics plus the
+// Snapshot captures per-pool check and lookup statistics plus the
 // registry-level indirect-call counters at one instant.  internal/report
 // and `sva-bench -table=checks` render it.
 type Snapshot = telemetry.CheckSnapshot

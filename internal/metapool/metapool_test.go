@@ -5,15 +5,29 @@ import (
 	"testing"
 )
 
+// violationKind reduces an op result to a comparable shape: -1 for
+// success, the Violation kind otherwise.
+func violationKind(t *testing.T, err error) int {
+	t.Helper()
+	if err == nil {
+		return -1
+	}
+	var v *Violation
+	if !errors.As(err, &v) {
+		t.Fatalf("non-violation error: %v", err)
+	}
+	return int(v.Kind)
+}
+
 func TestRegisterDrop(t *testing.T) {
 	p := NewPool("MP1", true, true, 16)
-	if err := p.Register(0x1000, 64, 0); err != nil {
+	if err := p.RegisterCPU(0, 0x1000, 64, 0); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
 	if p.NumObjects() != 1 {
 		t.Fatalf("NumObjects = %d", p.NumObjects())
 	}
-	if err := p.Drop(0x1000); err != nil {
+	if err := p.DropCPU(0, 0x1000); err != nil {
 		t.Fatalf("Drop: %v", err)
 	}
 	if p.NumObjects() != 0 {
@@ -23,11 +37,11 @@ func TestRegisterDrop(t *testing.T) {
 
 func TestDoubleFreeDetected(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.Register(0x1000, 64, 0)
-	if err := p.Drop(0x1000); err != nil {
+	p.RegisterCPU(0, 0x1000, 64, 0)
+	if err := p.DropCPU(0, 0x1000); err != nil {
 		t.Fatal(err)
 	}
-	err := p.Drop(0x1000)
+	err := p.DropCPU(0, 0x1000)
 	var v *Violation
 	if !errors.As(err, &v) || v.Kind != IllegalFree {
 		t.Fatalf("double free not detected: %v", err)
@@ -36,8 +50,8 @@ func TestDoubleFreeDetected(t *testing.T) {
 
 func TestInteriorFreeDetected(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.Register(0x1000, 64, 0)
-	err := p.Drop(0x1010)
+	p.RegisterCPU(0, 0x1000, 64, 0)
+	err := p.DropCPU(0, 0x1010)
 	var v *Violation
 	if !errors.As(err, &v) || v.Kind != IllegalFree {
 		t.Fatalf("interior free not detected: %v", err)
@@ -50,29 +64,29 @@ func TestInteriorFreeDetected(t *testing.T) {
 
 func TestRegistrationConflict(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.Register(0x1000, 64, 0)
-	err := p.Register(0x1020, 64, 0)
+	p.RegisterCPU(0, 0x1000, 64, 0)
+	err := p.RegisterCPU(0, 0x1020, 64, 0)
 	var v *Violation
 	if !errors.As(err, &v) || v.Kind != RegistrationConflict {
 		t.Fatalf("overlap not detected: %v", err)
 	}
-	if err := p.Register(0x1000, 0, 0); err != nil {
+	if err := p.RegisterCPU(0, 0x1000, 0, 0); err != nil {
 		t.Errorf("zero-size registration should be a no-op: %v", err)
 	}
 }
 
 func TestBoundsCheckWithinObject(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.Register(0x1000, 64, 0)
+	p.RegisterCPU(0, 0x1000, 64, 0)
 	// Interior and one-past-the-end derived pointers are legal.
 	for _, d := range []uint64{0x1000, 0x103F, 0x1040} {
-		if err := p.BoundsCheck(0x1000, d); err != nil {
+		if err := p.BoundsCheckCPU(0, 0x1000, d); err != nil {
 			t.Errorf("BoundsCheck(0x1000, %#x) = %v", d, err)
 		}
 	}
 	// Escaping pointers are violations.
 	for _, d := range []uint64{0x0FFF, 0x1041, 0x2000} {
-		err := p.BoundsCheck(0x1000, d)
+		err := p.BoundsCheckCPU(0, 0x1000, d)
 		var v *Violation
 		if !errors.As(err, &v) || v.Kind != BoundsViolation {
 			t.Errorf("BoundsCheck(0x1000, %#x) = %v, want bounds violation", d, err)
@@ -84,33 +98,33 @@ func TestBoundsCheckCompleteVsIncomplete(t *testing.T) {
 	complete := NewPool("C", false, true, 0)
 	incomplete := NewPool("I", false, false, 0)
 	// Source address not registered anywhere.
-	if err := complete.BoundsCheck(0x9000, 0x9008); err == nil {
+	if err := complete.BoundsCheckCPU(0, 0x9000, 0x9008); err == nil {
 		t.Error("complete pool must reject indexing from unregistered pointer")
 	}
-	if err := incomplete.BoundsCheck(0x9000, 0x9008); err != nil {
+	if err := incomplete.BoundsCheckCPU(0, 0x9000, 0x9008); err != nil {
 		t.Errorf("incomplete pool must reduce the check: %v", err)
 	}
 	// But indexing from unregistered INTO a registered object is always bad.
-	incomplete.Register(0xA000, 16, 0)
-	if err := incomplete.BoundsCheck(0x9FF0, 0xA004); err == nil {
+	incomplete.RegisterCPU(0, 0xA000, 16, 0)
+	if err := incomplete.BoundsCheckCPU(0, 0x9FF0, 0xA004); err == nil {
 		t.Error("cross-boundary index into registered object not detected")
 	}
 }
 
 func TestLoadStoreCheck(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.Register(0x1000, 64, 0)
-	if err := p.LoadStoreCheck(0x1020); err != nil {
+	p.RegisterCPU(0, 0x1000, 64, 0)
+	if err := p.LoadStoreCheckCPU(0, 0x1020); err != nil {
 		t.Errorf("lscheck inside object: %v", err)
 	}
-	err := p.LoadStoreCheck(0x2000)
+	err := p.LoadStoreCheckCPU(0, 0x2000)
 	var v *Violation
 	if !errors.As(err, &v) || v.Kind != LoadStoreViolation {
 		t.Fatalf("lscheck outside objects = %v", err)
 	}
 	// Incomplete pools never raise lscheck violations (reduced checks).
 	inc := NewPool("I", false, false, 0)
-	if err := inc.LoadStoreCheck(0x2000); err != nil {
+	if err := inc.LoadStoreCheckCPU(0, 0x2000); err != nil {
 		t.Errorf("incomplete pool lscheck = %v", err)
 	}
 }
@@ -119,37 +133,37 @@ func TestUserSpaceObject(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
 	p.RegisterUserSpace(0x1000, 0x8000)
 	// Access inside userspace passes.
-	if err := p.LoadStoreCheck(0x4000); err != nil {
+	if err := p.LoadStoreCheckCPU(0, 0x4000); err != nil {
 		t.Errorf("userspace lscheck: %v", err)
 	}
 	// A buffer starting in userspace but indexed past its end into kernel
 	// space is a bounds violation (the attack §4.6 describes).
-	if err := p.BoundsCheck(0x7FF0, 0x8010); err == nil {
+	if err := p.BoundsCheckCPU(0, 0x7FF0, 0x8010); err == nil {
 		t.Error("user-to-kernel straddling pointer not detected")
 	}
-	if err := p.BoundsCheck(0x4000, 0x4FFF); err != nil {
+	if err := p.BoundsCheckCPU(0, 0x4000, 0x4FFF); err != nil {
 		t.Errorf("within-userspace index: %v", err)
 	}
 }
 
 func TestGetBounds(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.Register(0x1000, 64, 0)
-	s, e, ok := p.GetBounds(0x1010)
+	p.RegisterCPU(0, 0x1000, 64, 0)
+	s, e, ok := p.GetBoundsCPU(0, 0x1010)
 	if !ok || s != 0x1000 || e != 0x1040 {
 		t.Errorf("GetBounds = %#x,%#x,%v", s, e, ok)
 	}
-	if _, _, ok := p.GetBounds(0x5000); ok {
+	if _, _, ok := p.GetBoundsCPU(0, 0x5000); ok {
 		t.Error("GetBounds on unregistered address succeeded")
 	}
 }
 
 func TestStatsAccounting(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.Register(0x1000, 16, 0)
-	p.BoundsCheck(0x1000, 0x1008)
-	p.LoadStoreCheck(0x1004)
-	p.BoundsCheck(0x1000, 0x9999) // violation
+	p.RegisterCPU(0, 0x1000, 16, 0)
+	p.BoundsCheckCPU(0, 0x1000, 0x1008)
+	p.LoadStoreCheckCPU(0, 0x1004)
+	p.BoundsCheckCPU(0, 0x1000, 0x9999) // violation
 	if p.Stats.Registered != 1 || p.Stats.BoundsChecks != 2 || p.Stats.LSChecks != 1 || p.Stats.Violations != 1 {
 		t.Errorf("stats = %+v", p.Stats)
 	}
@@ -162,18 +176,18 @@ func TestRegistry(t *testing.T) {
 		t.Error("pool lookup failed")
 	}
 	cs := r.AddCallSet(map[uint64]bool{0x100: true, 0x200: true})
-	if err := r.IndirectCallCheck(cs, 0x100); err != nil {
+	if err := r.IndirectCallCheckCPU(0, cs, 0x100); err != nil {
 		t.Errorf("legal indirect call rejected: %v", err)
 	}
-	err := r.IndirectCallCheck(cs, 0x300)
+	err := r.IndirectCallCheckCPU(0, cs, 0x300)
 	var v *Violation
 	if !errors.As(err, &v) || v.Kind != IndirectCallViolation {
 		t.Fatalf("illegal indirect call = %v", err)
 	}
-	if err := r.IndirectCallCheck(99, 0x100); err == nil {
+	if err := r.IndirectCallCheckCPU(0, 99, 0x100); err == nil {
 		t.Error("unknown call set accepted")
 	}
-	r.Pool(id).Register(0x10, 8, 0)
+	r.Pool(id).RegisterCPU(0, 0x10, 8, 0)
 	if s := r.TotalStats(); s.Registered != 1 {
 		t.Errorf("TotalStats = %+v", s)
 	}
@@ -181,7 +195,7 @@ func TestRegistry(t *testing.T) {
 
 func TestPoolReset(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.Register(0x1000, 16, 0)
+	p.RegisterCPU(0, 0x1000, 16, 0)
 	p.Reset()
 	if p.NumObjects() != 0 || p.Stats.Registered != 0 {
 		t.Error("Reset incomplete")
@@ -191,12 +205,12 @@ func TestPoolReset(t *testing.T) {
 func TestRegisterStackEvictsStaleFrames(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
 	// A task died mid-syscall: its frame's registration was never dropped.
-	if err := p.RegisterStack(0x1000, 64); err != nil {
+	if err := p.RegisterStackCPU(0, 0x1000, 64); err != nil {
 		t.Fatal(err)
 	}
 	// A new task's frame lands on the recycled stack, overlapping the
 	// stale object: the stale STACK registration is evicted, not an error.
-	if err := p.RegisterStack(0x1020, 64); err != nil {
+	if err := p.RegisterStackCPU(0, 0x1020, 64); err != nil {
 		t.Fatalf("stale stack eviction failed: %v", err)
 	}
 	if p.NumObjects() != 1 {
@@ -204,8 +218,8 @@ func TestRegisterStackEvictsStaleFrames(t *testing.T) {
 	}
 	// Overlap with a HEAP object stays a hard violation.
 	p2 := NewPool("MP2", false, true, 0)
-	p2.Register(0x2000, 64, TagHeap)
-	err := p2.RegisterStack(0x2010, 32)
+	p2.RegisterCPU(0, 0x2000, 64, TagHeap)
+	err := p2.RegisterStackCPU(0, 0x2010, 32)
 	var v *Violation
 	if !errors.As(err, &v) || v.Kind != RegistrationConflict {
 		t.Fatalf("stack-over-heap = %v, want registration conflict", err)
@@ -215,12 +229,12 @@ func TestRegisterStackEvictsStaleFrames(t *testing.T) {
 func TestRegisterStackEvictsMultiple(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
 	for i := uint64(0); i < 4; i++ {
-		if err := p.RegisterStack(0x1000+i*16, 16); err != nil {
+		if err := p.RegisterStackCPU(0, 0x1000+i*16, 16); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// One big new frame object spans all four stale ones.
-	if err := p.RegisterStack(0x1000, 64); err != nil {
+	if err := p.RegisterStackCPU(0, 0x1000, 64); err != nil {
 		t.Fatalf("multi-eviction failed: %v", err)
 	}
 	if p.NumObjects() != 1 {
@@ -241,13 +255,13 @@ func TestViolationKindStringNegative(t *testing.T) {
 func TestIndirectCallStatsInTotals(t *testing.T) {
 	r := NewRegistry()
 	id := r.AddCallSet(map[uint64]bool{0x100: true})
-	if err := r.IndirectCallCheck(id, 0x100); err != nil {
+	if err := r.IndirectCallCheckCPU(0, id, 0x100); err != nil {
 		t.Fatalf("legal target: %v", err)
 	}
-	if err := r.IndirectCallCheck(id, 0x200); err == nil {
+	if err := r.IndirectCallCheckCPU(0, id, 0x200); err == nil {
 		t.Fatal("illegal target not flagged")
 	}
-	if err := r.IndirectCallCheck(-1, 0x100); err == nil {
+	if err := r.IndirectCallCheckCPU(0, -1, 0x100); err == nil {
 		t.Fatal("unknown call set not flagged")
 	}
 	s := r.TotalStats()
@@ -259,93 +273,25 @@ func TestIndirectCallStatsInTotals(t *testing.T) {
 	}
 }
 
-func TestLastHitCache(t *testing.T) {
+// TestLoneObjectAnsweredByPageMap: a narrow object registered alone on
+// its page is published in the page map at registration, so the very next
+// check on it is a page-map hit — no tree descent, no splay lookup.
+func TestLoneObjectAnsweredByPageMap(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.NoPageMap = true // pin the slow-path cache behavior, not the page map
-	if err := p.Register(0x1000, 64, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x6000, 64, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	lk0 := p.SplayLookups()
-	for i := 0; i < 10; i++ {
-		if err := p.LoadStoreCheck(0x1008); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Stats.CacheMisses != 1 || p.Stats.CacheHits != 9 {
-		t.Errorf("hits/misses = %d/%d, want 9/1", p.Stats.CacheHits, p.Stats.CacheMisses)
-	}
-	if got := p.SplayLookups() - lk0; got != 1 {
-		t.Errorf("splay lookups = %d, want 1 (cache absorbs repeats)", got)
-	}
-
-	// Two hot objects fit the 2-entry cache.  Registration does not
-	// invalidate the caches (it cannot stale a cached positive), so the
-	// 0x1000 entry survives the Register and only 0x2000 misses once.
-	if err := p.Register(0x2000, 64, TagHeap); err != nil {
+	pm0, tree0, lk0 := p.Stats.PageHits, p.Stats.CacheMisses, p.SplayLookups()
+	if err := p.BoundsCheckCPU(0, 0x6000, 0x6020); err != nil {
 		t.Fatal(err)
 	}
-	h0, m0 := p.Stats.CacheHits, p.Stats.CacheMisses
-	for i := 0; i < 5; i++ {
-		if err := p.LoadStoreCheck(0x1000); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.LoadStoreCheck(0x2000); err != nil {
-			t.Fatal(err)
-		}
+	if got := p.Stats.PageHits - pm0; got != 1 {
+		t.Errorf("PageHits +%d, want +1", got)
 	}
-	if hits := p.Stats.CacheHits - h0; hits != 9 {
-		t.Errorf("alternating hits = %d, want 9", hits)
+	if got := p.Stats.CacheMisses - tree0; got != 0 {
+		t.Errorf("CacheMisses (tree path) +%d, want +0", got)
 	}
-	if misses := p.Stats.CacheMisses - m0; misses != 1 {
-		t.Errorf("alternating misses = %d, want 1", misses)
-	}
-}
-
-func TestCacheInvalidatedOnMutation(t *testing.T) {
-	p := NewPool("MP1", false, true, 0)
-	if err := p.Register(0x1000, 64, TagHeap); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.LoadStoreCheck(0x1000); err != nil { // prime the cache
-		t.Fatal(err)
-	}
-	if err := p.Drop(0x1000); err != nil {
-		t.Fatal(err)
-	}
-	// A stale cache entry would wrongly pass this check.
-	if err := p.LoadStoreCheck(0x1000); err == nil {
-		t.Fatal("load/store of dropped object passed (stale cache entry)")
-	}
-
-	if err := p.Register(0x3000, 32, TagHeap); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.LoadStoreCheck(0x3000); err != nil {
-		t.Fatal(err)
-	}
-	p.Reset()
-	if err := p.LoadStoreCheck(0x3000); err == nil {
-		t.Fatal("check passed after Reset (stale cache entry)")
-	}
-}
-
-func TestNoCacheDisablesCaching(t *testing.T) {
-	p := NewPool("MP1", false, true, 0)
-	p.NoPageMap = true // pin the slow-path cache behavior, not the page map
-	p.NoCache = true
-	if err := p.Register(0x1000, 64, TagHeap); err != nil {
-		t.Fatal(err)
-	}
-	lk0 := p.SplayLookups()
-	for i := 0; i < 10; i++ {
-		if err := p.LoadStoreCheck(0x1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.Stats.CacheHits != 0 {
-		t.Errorf("CacheHits = %d with NoCache", p.Stats.CacheHits)
-	}
-	if got := p.SplayLookups() - lk0; got != 10 {
-		t.Errorf("splay lookups = %d, want 10 (uncached)", got)
+	if got := p.SplayLookups() - lk0; got != 0 {
+		t.Errorf("splay lookups +%d, want +0", got)
 	}
 }

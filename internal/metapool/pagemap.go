@@ -62,7 +62,7 @@ type pmVerdict uint8
 
 const (
 	// pmMiss: no registered object overlaps the page.  Definitive only
-	// while Pool.unmapped is zero and no pending cache covers the address.
+	// while Pool.unmapped is zero.
 	pmMiss pmVerdict = iota
 	// pmHit: exactly one object overlaps the page (returned alongside).
 	pmHit
@@ -110,7 +110,7 @@ func mappable(r splay.Range) bool {
 // lookup resolves addr against the page map.  It is the lock-free O(1)
 // fast path: two atomic loads, no tree access, no mutation.  Callers that
 // dereference the returned Range of a recycled entry do so inside an epoch
-// pin (findCPU / pmClean).
+// pin (findCPU).
 func (m *pageMap) lookup(addr uint64) (splay.Range, pmVerdict) {
 	if addr >= pmCoverage {
 		return splay.Range{}, pmSlow

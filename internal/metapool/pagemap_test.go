@@ -8,78 +8,95 @@ import (
 )
 
 // pmStep is one randomly generated pool operation for the page-map
-// equivalence property.  Unlike opStep (quick_test.go), the address and
-// size derivations deliberately span page boundaries: A picks a slot in a
-// ~64-page window at sub-page granularity, and size reaches past 4 KiB so
-// the stream produces single-entry pages, overflow pages, straddling
-// objects, and definitive misses.
+// equivalence property.  Kind selects the operation; A and B pick the
+// address and size in one of two shapes.  The sparse shape spans page
+// boundaries: A picks a slot in a ~64-page window at sub-page granularity,
+// and size reaches past 4 KiB, so the stream produces single-entry pages,
+// overflow pages, straddling objects, and definitive misses.  The dense
+// shape packs every object start into one 1 KiB window of a single page,
+// so nearly every lookup lands on an overflow page and takes the tree
+// path under the page map.
 type pmStep struct {
 	Kind uint8
 	A, B uint16
 }
 
-func (s pmStep) addr() uint64 { return 0x4000 + uint64(s.A%2048)*128 }
-func (s pmStep) size() uint64 { return 1 + uint64(s.B%80)*64 } // up to 5120: straddles pages
+// shape returns the step's address, size and derived-pointer offset.
+func (s pmStep) shape(dense bool) (addr, size, off uint64) {
+	if dense {
+		return 0x1000 + uint64(s.A%64)*16, 1 + uint64(s.B%96), uint64(s.B % 128)
+	}
+	// size up to 5120: straddles pages
+	return 0x4000 + uint64(s.A%2048)*128, 1 + uint64(s.B%80)*64, uint64(s.B % 8192)
+}
 
 // TestQuickPageMapMatchesSplay is the equivalence property the design
 // hangs on: a pool with the page-map fast path and a splay-only pool
 // (NoPageMap) driven through identical random register/drop/check
-// interleavings must produce bit-identical verdicts at every step.  The
-// splay tree is the oracle; the page map may only change how an answer is
-// found, never the answer.
+// interleavings must produce bit-identical verdicts at every step, in
+// both step shapes.  The splay tree is the oracle; the page map may only
+// change how an answer is found, never the answer.
 func TestQuickPageMapMatchesSplay(t *testing.T) {
-	prop := func(steps []pmStep) bool {
-		fast := NewPool("MPF", false, true, 0)
-		oracle := NewPool("MPO", false, true, 0)
-		oracle.NoPageMap = true
-		for i, s := range steps {
-			addr, size := s.addr(), s.size()
-			var kf, ko int
-			switch s.Kind % 7 {
-			case 0:
-				kf = violationKind(t, fast.Register(addr, size, TagHeap))
-				ko = violationKind(t, oracle.Register(addr, size, TagHeap))
-			case 1:
-				kf = violationKind(t, fast.RegisterStack(addr, size))
-				ko = violationKind(t, oracle.RegisterStack(addr, size))
-			case 2:
-				kf = violationKind(t, fast.Drop(addr))
-				ko = violationKind(t, oracle.Drop(addr))
-			case 3:
-				derived := addr + uint64(s.B%8192)
-				kf = violationKind(t, fast.BoundsCheck(addr, derived))
-				ko = violationKind(t, oracle.BoundsCheck(addr, derived))
-			case 4:
-				kf = violationKind(t, fast.LoadStoreCheck(addr))
-				ko = violationKind(t, oracle.LoadStoreCheck(addr))
-			case 5:
-				fs, fe, fok := fast.GetBounds(addr)
-				os, oe, ook := oracle.GetBounds(addr)
-				if fs != os || fe != oe || fok != ook {
-					t.Logf("step %d: GetBounds(%#x) fast=(%#x,%#x,%v) oracle=(%#x,%#x,%v)",
-						i, addr, fs, fe, fok, os, oe, ook)
-					return false
-				}
-			case 6:
-				fast.Reset()
-				oracle.Reset()
-			}
-			if kf != ko {
-				t.Logf("step %d: op %d at %#x+%d fast=%d oracle=%d",
-					i, s.Kind%7, addr, size, kf, ko)
-				return false
-			}
-			if fast.NumObjects() != oracle.NumObjects() {
-				t.Logf("step %d: objects fast=%d oracle=%d",
-					i, fast.NumObjects(), oracle.NumObjects())
-				return false
-			}
+	for _, dense := range []bool{false, true} {
+		prop := func(steps []pmStep) bool { return matchesSplay(t, steps, dense) }
+		if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("dense=%v: %v", dense, err)
 		}
-		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+}
+
+func matchesSplay(t *testing.T, steps []pmStep, dense bool) bool {
+	fast := NewPool("MPF", false, true, 0)
+	oracle := NewPool("MPO", false, true, 0)
+	oracle.NoPageMap = true
+	for i, s := range steps {
+		addr, size, off := s.shape(dense)
+		var kf, ko int
+		switch s.Kind % 7 {
+		case 0:
+			kf = violationKind(t, fast.RegisterCPU(0, addr, size, TagHeap))
+			ko = violationKind(t, oracle.RegisterCPU(0, addr, size, TagHeap))
+		case 1:
+			kf = violationKind(t, fast.RegisterStackCPU(0, addr, size))
+			ko = violationKind(t, oracle.RegisterStackCPU(0, addr, size))
+		case 2:
+			kf = violationKind(t, fast.DropCPU(0, addr))
+			ko = violationKind(t, oracle.DropCPU(0, addr))
+		case 3:
+			kf = violationKind(t, fast.BoundsCheckCPU(0, addr, addr+off))
+			ko = violationKind(t, oracle.BoundsCheckCPU(0, addr, addr+off))
+		case 4:
+			kf = violationKind(t, fast.LoadStoreCheckCPU(0, addr))
+			ko = violationKind(t, oracle.LoadStoreCheckCPU(0, addr))
+		case 5:
+			fs, fe, fok := fast.GetBoundsCPU(0, addr)
+			os, oe, ook := oracle.GetBoundsCPU(0, addr)
+			if fs != os || fe != oe || fok != ook {
+				t.Logf("step %d: GetBounds(%#x) fast=(%#x,%#x,%v) oracle=(%#x,%#x,%v)",
+					i, addr, fs, fe, fok, os, oe, ook)
+				return false
+			}
+		case 6:
+			fast.Reset()
+			oracle.Reset()
+		}
+		if kf != ko {
+			t.Logf("step %d: op %d at %#x+%d fast=%d oracle=%d",
+				i, s.Kind%7, addr, size, kf, ko)
+			return false
+		}
+		if fast.NumObjects() != oracle.NumObjects() {
+			t.Logf("step %d: objects fast=%d oracle=%d",
+				i, fast.NumObjects(), oracle.NumObjects())
+			return false
+		}
 	}
+	// The oracle must never have consulted the page map.
+	if oracle.Stats.PageHits != 0 {
+		t.Logf("oracle pool used the page map")
+		return false
+	}
+	return true
 }
 
 // TestPageStraddlingObject pins the slow-path handoff for an object that
@@ -89,31 +106,31 @@ func TestPageStraddlingObject(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
 	// Tail of page 1, all of pages 2–3, head of page 4.
 	start, size := uint64(0x1F00), uint64(2*PageSize+0x200)
-	if err := p.Register(start, size, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, start, size, TagHeap); err != nil {
 		t.Fatal(err)
 	}
 	lk0 := p.SplayLookups()
 	for _, a := range []uint64{start, 0x2000, 0x2FFF, 0x3000, start + size - 1} {
-		if err := p.LoadStoreCheck(a); err != nil {
+		if err := p.LoadStoreCheckCPU(0, a); err != nil {
 			t.Errorf("lscheck(%#x) inside straddling object: %v", a, err)
 		}
 	}
 	for _, a := range []uint64{start - 1, start + size} {
-		if err := p.LoadStoreCheck(a); err == nil {
+		if err := p.LoadStoreCheckCPU(0, a); err == nil {
 			t.Errorf("lscheck(%#x) just outside straddling object passed", a)
 		}
 	}
 	if got := p.SplayLookups() - lk0; got != 0 {
 		t.Errorf("splay lookups = %d, want 0 (page map covers every page)", got)
 	}
-	if err := p.Drop(start); err != nil {
+	if err := p.DropCPU(0, start); err != nil {
 		t.Fatal(err)
 	}
 	// Every page the object touched must now be a definitive miss (the
 	// drop itself consults the tree, so re-snapshot the lookup counter).
 	lk1 := p.SplayLookups()
 	for _, a := range []uint64{start, 0x2000, 0x3000, start + size - 1} {
-		if err := p.LoadStoreCheck(a); err == nil {
+		if err := p.LoadStoreCheckCPU(0, a); err == nil {
 			t.Errorf("lscheck(%#x) passed after drop (stale page entry)", a)
 		}
 	}
@@ -127,23 +144,21 @@ func TestPageStraddlingObject(t *testing.T) {
 // one promotes the page back to a direct entry for the survivor.
 func TestSubPageAdjacentObjectsOverflow(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	p.NoCache = true // count tree traffic exactly
-	p.NoPend = true  // pend hits would bypass the tree traffic this test pins
-	if err := p.Register(0x5000, 64, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x5000, 64, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Register(0x5040, 64, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x5040, 64, TagHeap); err != nil {
 		t.Fatal(err)
 	}
 	lk0 := p.SplayLookups()
 	// Both objects and the gap beyond them resolve correctly via the tree.
-	if err := p.LoadStoreCheck(0x5010); err != nil {
+	if err := p.LoadStoreCheckCPU(0, 0x5010); err != nil {
 		t.Errorf("first object on overflow page: %v", err)
 	}
-	if err := p.LoadStoreCheck(0x5050); err != nil {
+	if err := p.LoadStoreCheckCPU(0, 0x5050); err != nil {
 		t.Errorf("second object on overflow page: %v", err)
 	}
-	if err := p.LoadStoreCheck(0x5090); err == nil {
+	if err := p.LoadStoreCheckCPU(0, 0x5090); err == nil {
 		t.Error("gap on overflow page passed lscheck")
 	}
 	if got := p.SplayLookups() - lk0; got != 3 {
@@ -151,14 +166,14 @@ func TestSubPageAdjacentObjectsOverflow(t *testing.T) {
 	}
 	// Dropping one object leaves a single survivor: the page recomputes to
 	// a direct entry and the tree goes quiet again.
-	if err := p.Drop(0x5000); err != nil {
+	if err := p.DropCPU(0, 0x5000); err != nil {
 		t.Fatal(err)
 	}
 	lk1 := p.SplayLookups()
-	if err := p.LoadStoreCheck(0x5050); err != nil {
+	if err := p.LoadStoreCheckCPU(0, 0x5050); err != nil {
 		t.Errorf("survivor after overflow demotion: %v", err)
 	}
-	if err := p.LoadStoreCheck(0x5010); err == nil {
+	if err := p.LoadStoreCheckCPU(0, 0x5010); err == nil {
 		t.Error("dropped object still passes lscheck")
 	}
 	if got := p.SplayLookups() - lk1; got != 0 {
@@ -168,31 +183,31 @@ func TestSubPageAdjacentObjectsOverflow(t *testing.T) {
 
 // TestReRegistrationAfterFree pins the free/re-register cycle at one
 // address: the new object's bounds — not the old one's — must govern every
-// later check, including via any cached or mapped state.
+// later check, including via any mapped state.
 func TestReRegistrationAfterFree(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
-	if err := p.Register(0x7000, 256, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x7000, 256, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.LoadStoreCheck(0x7080); err != nil { // warm map + cache
+	if err := p.LoadStoreCheckCPU(0, 0x7080); err != nil { // warm the map
 		t.Fatal(err)
 	}
-	if err := p.Drop(0x7000); err != nil {
+	if err := p.DropCPU(0, 0x7000); err != nil {
 		t.Fatal(err)
 	}
 	// Re-register at the same address with a smaller size.
-	if err := p.Register(0x7000, 64, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x7000, 64, TagHeap); err != nil {
 		t.Fatalf("re-registration after free: %v", err)
 	}
-	if err := p.LoadStoreCheck(0x7020); err != nil {
+	if err := p.LoadStoreCheckCPU(0, 0x7020); err != nil {
 		t.Errorf("inside re-registered object: %v", err)
 	}
 	// 0x7080 was inside the OLD object but is outside the new one; a stale
-	// page entry or cache line would wrongly pass it.
-	if err := p.LoadStoreCheck(0x7080); err == nil {
+	// page entry would wrongly pass it.
+	if err := p.LoadStoreCheckCPU(0, 0x7080); err == nil {
 		t.Error("address beyond re-registered object passed (stale bounds)")
 	}
-	if s, e, ok := p.GetBounds(0x7000); !ok || s != 0x7000 || e != 0x7040 {
+	if s, e, ok := p.GetBoundsCPU(0, 0x7000); !ok || s != 0x7000 || e != 0x7040 {
 		t.Errorf("GetBounds after re-registration = %#x,%#x,%v", s, e, ok)
 	}
 }
@@ -206,7 +221,7 @@ func TestReRegistrationAfterFree(t *testing.T) {
 func TestResetMidLookup(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
 	p.setVCPUs(4)
-	if err := p.Register(0x9000, 128, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x9000, 128, TagHeap); err != nil {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
@@ -235,7 +250,7 @@ func TestResetMidLookup(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		p.Reset()
-		if err := p.Register(0x9000, 128, TagHeap); err != nil {
+		if err := p.RegisterCPU(0, 0x9000, 128, TagHeap); err != nil {
 			t.Errorf("re-register after reset: %v", err)
 			break
 		}
@@ -270,23 +285,23 @@ func TestUnmappedObjectsDemoteMisses(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewPool("MP1", false, true, 0)
-			if err := p.Register(tc.start, tc.size, TagHeap); err != nil {
+			if err := p.RegisterCPU(0, tc.start, tc.size, TagHeap); err != nil {
 				t.Fatal(err)
 			}
 			if p.unmapped.Load() != 1 {
 				t.Fatalf("unmapped = %d, want 1", p.unmapped.Load())
 			}
 			// Inside the unmapped object: only the tree can answer.
-			if err := p.LoadStoreCheck(tc.start + tc.size/2); err != nil {
+			if err := p.LoadStoreCheckCPU(0, tc.start+tc.size/2); err != nil {
 				t.Errorf("lscheck inside unmapped object: %v", err)
 			}
 			// A genuine miss elsewhere must consult the tree too (the page
 			// map cannot prove absence while unmapped objects exist) and
 			// still come out a violation.
-			if err := p.LoadStoreCheck(0x4000); err == nil {
+			if err := p.LoadStoreCheckCPU(0, 0x4000); err == nil {
 				t.Error("miss passed while unmapped object live")
 			}
-			if err := p.Drop(tc.start); err != nil {
+			if err := p.DropCPU(0, tc.start); err != nil {
 				t.Fatal(err)
 			}
 			if p.unmapped.Load() != 0 {
@@ -304,24 +319,24 @@ func TestUnmappedObjectsDemoteMisses(t *testing.T) {
 func TestOverflowPageKeepsUnmappableSurvivor(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
 	huge := uint64((maxObjPages + 4) * PageSize) // unmappable by span
-	if err := p.Register(0x10000, huge, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x10000, huge, TagHeap); err != nil {
 		t.Fatal(err)
 	}
 	// A small object sharing the huge object's first page → overflow there.
-	if err := p.Register(0x10000-64, 64, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x10000-64, 64, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Drop(0x10000 - 64); err != nil { // survivor is the huge object
+	if err := p.DropCPU(0, 0x10000-64); err != nil { // survivor is the huge object
 		t.Fatal(err)
 	}
-	if err := p.LoadStoreCheck(0x10010); err != nil {
+	if err := p.LoadStoreCheckCPU(0, 0x10010); err != nil {
 		t.Errorf("unmappable survivor on ex-overflow page: %v", err)
 	}
 	// Now drop the huge object; the page must not serve a stale answer.
-	if err := p.Drop(0x10000); err != nil {
+	if err := p.DropCPU(0, 0x10000); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.LoadStoreCheck(0x10010); err == nil {
+	if err := p.LoadStoreCheckCPU(0, 0x10010); err == nil {
 		t.Error("lscheck passed after unmappable survivor dropped (stale page entry)")
 	}
 }
@@ -335,7 +350,7 @@ func TestConcurrentLookupsRegisterDrop(t *testing.T) {
 	p := NewPool("MP1", false, true, 0)
 	p.setVCPUs(4)
 	for cpu := 0; cpu < 4; cpu++ {
-		if err := p.Register(0x100000+uint64(cpu)*PageSize, 512, TagHeap); err != nil {
+		if err := p.RegisterCPU(0, 0x100000+uint64(cpu)*PageSize, 512, TagHeap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -363,11 +378,11 @@ func TestConcurrentLookupsRegisterDrop(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 2000; i++ {
 			a := 0x200000 + uint64(i%64)*PageSize
-			if err := p.Register(a, 4096+64, TagHeap); err != nil { // straddles
+			if err := p.RegisterCPU(0, a, 4096+64, TagHeap); err != nil { // straddles
 				t.Errorf("writer register: %v", err)
 				return
 			}
-			if err := p.Drop(a); err != nil {
+			if err := p.DropCPU(0, a); err != nil {
 				t.Errorf("writer drop: %v", err)
 				return
 			}
@@ -388,7 +403,7 @@ func benchPool(b *testing.B, n int, noPageMap bool) (*Pool, []uint64) {
 	addrs := make([]uint64, n)
 	for i := 0; i < n; i++ {
 		a := 0x10000 + uint64(i)*PageSize
-		if err := p.Register(a, 256, TagHeap); err != nil {
+		if err := p.RegisterCPU(0, a, 256, TagHeap); err != nil {
 			b.Fatal(err)
 		}
 		addrs[i] = a + 64
@@ -397,8 +412,8 @@ func benchPool(b *testing.B, n int, noPageMap bool) (*Pool, []uint64) {
 }
 
 // BenchmarkLookup compares the page-map fast path against the splay-only
-// slow path on a wide working set (1024 hot objects — far beyond the
-// 2-entry last-hit cache, the regime §7.1.3 identifies as dominant).
+// slow path on a wide working set (1024 hot objects, the regime §7.1.3
+// identifies as dominant).
 // EXPERIMENTS.md records the ratio; the acceptance floor is 2×.
 func BenchmarkLookup(b *testing.B) {
 	for _, cfg := range []struct {
@@ -408,11 +423,11 @@ func BenchmarkLookup(b *testing.B) {
 		b.Run(cfg.name, func(b *testing.B) {
 			p, addrs := benchPool(b, 1024, cfg.noPageMap)
 			// Stride coprime with len(addrs) so consecutive lookups hit
-			// different objects (defeats both caches' locality).
+			// different objects.
 			b.ResetTimer()
 			idx := 0
 			for i := 0; i < b.N; i++ {
-				if err := p.LoadStoreCheck(addrs[idx]); err != nil {
+				if err := p.LoadStoreCheckCPU(0, addrs[idx]); err != nil {
 					b.Fatal(err)
 				}
 				idx += 7
@@ -436,7 +451,7 @@ func BenchmarkLookupMiss(b *testing.B) {
 			inc := NewPool("INC", false, false, 0) // incomplete: misses pass
 			inc.NoPageMap = cfg.noPageMap
 			for i := 0; i < 1024; i++ {
-				if err := inc.Register(0x10000+uint64(i)*PageSize, 256, TagHeap); err != nil {
+				if err := inc.RegisterCPU(0, 0x10000+uint64(i)*PageSize, 256, TagHeap); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -444,7 +459,7 @@ func BenchmarkLookupMiss(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				a := 0x10000 + uint64(i%1024)*PageSize + 2048 // gap: always a miss
-				if err := inc.LoadStoreCheck(a); err != nil {
+				if err := inc.LoadStoreCheckCPU(0, a); err != nil {
 					b.Fatal(err)
 				}
 			}

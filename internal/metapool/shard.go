@@ -30,9 +30,8 @@
 //
 //	slmu (SingleLock mode only)
 //	  gate (per-CPU read slot, or all slots for exclusive ops)
-//	    pend.mu (at most one pending cache at a time)
-//	      shard.mu (at most one shard at a time)
-//	wideMu  — never nested with any shard.mu or pend.mu
+//	    shard.mu (at most one shard at a time)
+//	wideMu  — never nested with any shard.mu
 //	traceMu — innermost, cold paths only
 package metapool
 
@@ -99,9 +98,8 @@ type brGate struct {
 	slot [gateSlots]gateSlot
 }
 
-// gslot maps a VCPU number to its gate/EBR slot.  Out-of-range CPUs (the
-// legacy non-CPU wrappers pass 0; hostile intrinsic arguments are clamped
-// by the VM) share slot 0.
+// gslot maps a VCPU number to its gate/EBR slot.  Out-of-range CPUs share
+// slot 0 (a backstop: the VM never passes a VCPU number past gateSlots).
 func gslot(cpu int) int {
 	if uint(cpu) < gateSlots {
 		return cpu

@@ -68,7 +68,7 @@ func runStressOp(t *testing.T, p *Pool, cpu int, op stressOp) int {
 // stream is deterministic: the concurrent sharded pool must produce
 // bit-identical verdicts and the same final object count as the oracle.
 // Run under -race this is also the data-race suite for the sharded write
-// paths, the pending caches and the epoch machinery.
+// paths and the epoch machinery.
 func TestConcurrentStressOracle(t *testing.T) {
 	const workers = 8
 	const opsPer = 3000
@@ -94,7 +94,7 @@ func TestConcurrentStressOracle(t *testing.T) {
 	wg.Wait()
 
 	oracle := NewPool("MPO", false, true, 0)
-	oracle.NoPageMap = true // splay-only reference: no page map, no pends
+	oracle.NoPageMap = true // splay-only reference
 	for w := 0; w < workers; w++ {
 		for i, op := range progs[w] {
 			want := runStressOp(t, oracle, 0, op)
@@ -146,7 +146,6 @@ func TestQuickEpochPinBlocksReuse(t *testing.T) {
 		g := lcg(seed)
 		p := NewPool("MPE", false, true, 0)
 		p.setVCPUs(4)
-		p.NoPend = true // every register publishes a recyclable page entry
 		victim := 0x40000 + (g.next()%64)*PageSize
 		if err := p.RegisterCPU(1, victim, 64, TagHeap); err != nil {
 			t.Fatal(err)
@@ -213,30 +212,29 @@ func TestQuickEpochPinBlocksReuse(t *testing.T) {
 	}
 }
 
-// TestPerCPUStatsMerge pins the attribution contract of the legacy
-// non-CPU wrappers (Register/Drop/BoundsCheck/... charge VCPU 0's shard):
-// however calls are split between wrappers and *CPU variants, the merged
-// snapshot equals the arithmetic total — nothing double-counted, nothing
-// dropped.
+// TestPerCPUStatsMerge pins per-CPU attribution: each call charges the
+// shard of the VCPU it names, and however calls are split across VCPUs
+// the merged snapshot equals the arithmetic total — nothing
+// double-counted, nothing dropped.
 func TestPerCPUStatsMerge(t *testing.T) {
 	p := NewPool("MPM", false, true, 0)
 	p.setVCPUs(4)
 
-	// Legacy wrappers: attributed to shard 0.
+	// VCPU 0: the embedded shard.
 	for i := uint64(0); i < 10; i++ {
-		if err := p.Register(0x10000+i*0x100, 64, TagHeap); err != nil {
+		if err := p.RegisterCPU(0, 0x10000+i*0x100, 64, TagHeap); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := uint64(0); i < 4; i++ {
-		if err := p.Drop(0x10000 + i*0x100); err != nil {
+		if err := p.DropCPU(0, 0x10000+i*0x100); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := p.BoundsCheck(0x10400, 0x10410); err != nil {
+	if err := p.BoundsCheckCPU(0, 0x10400, 0x10410); err != nil {
 		t.Fatal(err)
 	}
-	p.NoteElidedBounds()
+	p.NoteElidedBoundsCPU(0)
 
 	// Explicit per-CPU calls from three other VCPUs.
 	for cpu := 1; cpu <= 3; cpu++ {
@@ -271,9 +269,9 @@ func TestPerCPUStatsMerge(t *testing.T) {
 	if m.Violations != 0 {
 		t.Errorf("merged Violations = %d, want 0", m.Violations)
 	}
-	// The wrappers' share sits on shard 0, per the documented contract.
+	// VCPU 0's share sits on the embedded shard.
 	if p.Stats.Registered != 10 {
-		t.Errorf("shard 0 Registered = %d, want the 10 wrapper calls", p.Stats.Registered)
+		t.Errorf("shard 0 Registered = %d, want the 10 VCPU-0 calls", p.Stats.Registered)
 	}
 	// The registry snapshot reports the same merged numbers.
 	reg := NewRegistry()
@@ -292,18 +290,18 @@ func TestPerCPUStatsMerge(t *testing.T) {
 // n per-object registrations, fast path or not.
 func TestRegisterBatch(t *testing.T) {
 	p := NewPool("MPB", false, true, 0)
-	if err := p.RegisterBatch(0x80000, 16, 512); err != nil {
+	if err := p.RegisterBatchCPU(0, 0x80000, 16, 512); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.NumObjects(); got != 16 {
 		t.Fatalf("NumObjects = %d after batch of 16", got)
 	}
 	// Elements are separate objects: indexing across a boundary violates.
-	if err := p.BoundsCheck(0x80000, 0x80000+513); err == nil {
+	if err := p.BoundsCheckCPU(0, 0x80000, 0x80000+513); err == nil {
 		t.Error("cross-element indexing passed")
 	}
 	// One past the end of an element is legal.
-	if err := p.BoundsCheck(0x80000, 0x80000+512); err != nil {
+	if err := p.BoundsCheckCPU(0, 0x80000, 0x80000+512); err != nil {
 		t.Errorf("one-past-end within element: %v", err)
 	}
 	for i := uint64(0); i < 16; i++ {
@@ -313,28 +311,28 @@ func TestRegisterBatch(t *testing.T) {
 	}
 	// A conflict mid-batch keeps the earlier elements, like the per-object
 	// sequence would.
-	if err := p.Register(0x90000+5*512, 512, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 0x90000+5*512, 512, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	err := p.RegisterBatch(0x90000, 16, 512)
+	err := p.RegisterBatchCPU(0, 0x90000, 16, 512)
 	if v, ok := err.(*Violation); !ok || v.Kind != RegistrationConflict {
 		t.Fatalf("mid-batch conflict: got %v", err)
 	}
 	for i := uint64(0); i < 5; i++ {
-		if _, ok := p.find(0x90000 + i*512); !ok {
+		if _, ok := p.findCPU(0, 0x90000+i*512); !ok {
 			t.Errorf("pre-conflict element %d not registered", i)
 		}
 	}
 	// Oversized batches are refused outright (guest-controlled n).
-	err = p.RegisterBatch(0xA00000, maxBatch+1, 16)
+	err = p.RegisterBatchCPU(0, 0xA00000, maxBatch+1, 16)
 	if v, ok := err.(*Violation); !ok || v.Kind != RegistrationConflict {
 		t.Fatalf("oversized batch: got %v", err)
 	}
 	// Degenerate shapes are no-ops.
-	if err := p.RegisterBatch(0xB00000, 0, 16); err != nil {
+	if err := p.RegisterBatchCPU(0, 0xB00000, 0, 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RegisterBatch(0xB00000, 4, 0); err != nil {
+	if err := p.RegisterBatchCPU(0, 0xB00000, 4, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -343,17 +341,17 @@ func TestRegisterBatch(t *testing.T) {
 	a := NewPool("MPBA", false, true, 0)
 	b := NewPool("MPBB", false, true, 0)
 	wide := splay.Range{Start: 3 << regionShift, Len: 2 << regionShift}
-	if err := a.Register(wide.Start, wide.Len, TagHeap); err != nil {
+	if err := a.RegisterCPU(0, wide.Start, wide.Len, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Register(wide.Start, wide.Len, TagHeap); err != nil {
+	if err := b.RegisterCPU(0, wide.Start, wide.Len, TagHeap); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.RegisterBatch(0x40000, 32, 128); err != nil {
+	if err := a.RegisterBatchCPU(0, 0x40000, 32, 128); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 32; i++ {
-		if err := b.Register(0x40000+i*128, 128, TagHeap); err != nil {
+		if err := b.RegisterCPU(0, 0x40000+i*128, 128, TagHeap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,8 +359,8 @@ func TestRegisterBatch(t *testing.T) {
 		t.Fatalf("batch %d objects, loop %d", a.NumObjects(), b.NumObjects())
 	}
 	for i := uint64(0); i < 32; i++ {
-		ra, oka := a.find(0x40000 + i*128 + 3)
-		rb, okb := b.find(0x40000 + i*128 + 3)
+		ra, oka := a.findCPU(0, 0x40000+i*128+3)
+		rb, okb := b.findCPU(0, 0x40000+i*128+3)
 		if oka != okb || ra != rb {
 			t.Fatalf("element %d: batch (%v,%v) loop (%v,%v)", i, ra, oka, rb, okb)
 		}
@@ -375,7 +373,7 @@ func TestRegisterBatch(t *testing.T) {
 // TestRegisterBatchWideConcurrent is the regression for the regbatch gate
 // deadlock: with a wide object live, the batch fast path used to fall
 // through to the element-at-a-time loop still holding its gate read slot,
-// and the loop re-acquires the same slot (tryAbsorb, registerSlow) — a
+// and the loop re-acquires the same slot (register) — a
 // recursive RLock.  A concurrent lockAll (wide register/drop) arriving
 // between the two acquisitions then deadlocked the VM.  This drives
 // batches against wide-object churn on every VCPU and must complete.
@@ -384,7 +382,7 @@ func TestRegisterBatchWideConcurrent(t *testing.T) {
 	p.setVCPUs(4)
 	// A wide object stays live for the whole run so every batch takes the
 	// fallback shape.
-	if err := p.Register(8<<regionShift, 2<<regionShift, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 8<<regionShift, 2<<regionShift, TagHeap); err != nil {
 		t.Fatal(err)
 	}
 	const rounds = 200
@@ -459,7 +457,7 @@ func TestRegisterBatchGateNotHeldAcrossFallback(t *testing.T) {
 	p := NewPool("MPBG", false, true, 0)
 	p.setVCPUs(4)
 	// A live wide object forces every batch into the fallback shape.
-	if err := p.Register(8<<regionShift, 2<<regionShift, TagHeap); err != nil {
+	if err := p.RegisterCPU(0, 8<<regionShift, 2<<regionShift, TagHeap); err != nil {
 		t.Fatal(err)
 	}
 	const base = uint64(0x100000)

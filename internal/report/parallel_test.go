@@ -110,7 +110,7 @@ func TestChecksTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Check statistics", "cache-hit", "Total", "indirect-call checks", "vm counters"} {
+	for _, want := range []string{"Check statistics", "pm-hit", "Total", "indirect-call checks", "vm counters"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("checks table missing %q:\n%s", want, s)
 		}

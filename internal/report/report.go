@@ -385,8 +385,8 @@ func SMPTable(rows []SMPRow) string {
 // the splay work the seed performed under its global pool mutex (costReg +
 // costDrop), so the seed path's aggregate throughput saturates at one pair
 // per critical section once enough writers contend, while the sharded
-// paths — whose writers in disjoint regions share no pend cache, gate
-// slot, region counter, or shard tree — scale with the writer count.
+// paths — whose writers in disjoint regions share no gate slot or shard
+// tree — scale with the writer count.
 // That saturation model is the standard one for a single lock and every
 // input to it is a measured virtual cycle, so the row is bit-identical
 // run to run on any host.
@@ -549,8 +549,8 @@ func measureRegPairCycles(pairs uint64) (uint64, error) {
 // --- check statistics (-table=checks) ---------------------------------------
 
 // ChecksTable drives the Table 7 latency battery on the safety-checked
-// configuration and renders the run-time check and last-hit-cache
-// statistics from the system's unified telemetry snapshot.
+// configuration and renders the run-time check and lookup statistics from
+// the system's unified telemetry snapshot.
 func ChecksTable(r *hbench.Runner, scale Scale) (string, error) {
 	for _, op := range hbench.LatencyOps {
 		if _, err := r.Measure(vm.ConfigSafe, op.Prog, scale.apply(op.Iters)); err != nil {
@@ -568,18 +568,17 @@ func FormatChecks(s telemetry.Snapshot) string {
 	snap, c, m := s.Checks, s.VM, s.Static
 	var sb strings.Builder
 	sb.WriteString("Check statistics (sva-safe, Table 7 battery)\n")
-	fmt.Fprintf(&sb, "%-16s %3s %3s %6s %9s %9s %9s %9s %10s %10s %10s %7s %9s %5s\n",
-		"Pool", "TH", "C", "objs", "bounds", "b-elide", "lscheck", "ls-elide", "pm-hit", "cache-hit", "tree-path", "fast%", "splay", "viol")
-	// fastPct is the share of lookups answered without a splay tree.  The
-	// four lookup counters are disjoint (each lookup is charged to the
-	// structure that finally answered it), so the tree-path count over
-	// their sum is exactly the slow fraction.
+	fmt.Fprintf(&sb, "%-16s %3s %3s %6s %9s %9s %9s %9s %10s %10s %7s %9s %5s\n",
+		"Pool", "TH", "C", "objs", "bounds", "b-elide", "lscheck", "ls-elide", "pm-hit", "tree-path", "fast%", "splay", "viol")
+	// fastPct is the share of lookups the page map answered.  Every lookup
+	// is charged to exactly one of PageHits and CacheMisses (the tree
+	// path), so the tree-path count over their sum is the slow fraction.
 	fastPct := func(s telemetry.CheckStats) float64 {
-		tot := s.PageHits + s.CacheHits + s.PendHits + s.CacheMisses
+		tot := s.PageHits + s.CacheMisses
 		if tot == 0 {
 			return 0
 		}
-		return 100 * float64(tot-s.CacheMisses) / float64(tot)
+		return 100 * float64(s.PageHits) / float64(tot)
 	}
 	idle := 0
 	for _, p := range snap.Pools {
@@ -588,18 +587,17 @@ func FormatChecks(s telemetry.Snapshot) string {
 			idle++
 			continue
 		}
-		fmt.Fprintf(&sb, "%-16s %3s %3s %6d %9d %9d %9d %9d %10d %10d %10d %6.1f%% %9d %5d\n",
+		fmt.Fprintf(&sb, "%-16s %3s %3s %6d %9d %9d %9d %9d %10d %10d %6.1f%% %9d %5d\n",
 			p.Name, yn(p.TypeHomogeneous), yn(p.Complete), p.Objects,
-			s.BoundsChecks, s.ElidedBounds, s.LSChecks, s.ElidedLS, s.PageHits, s.CacheHits, s.CacheMisses, fastPct(s),
+			s.BoundsChecks, s.ElidedBounds, s.LSChecks, s.ElidedLS, s.PageHits, s.CacheMisses, fastPct(s),
 			p.SplayLookups, s.Violations)
 	}
 	t := snap.Totals
-	fmt.Fprintf(&sb, "%-16s %3s %3s %6s %9d %9d %9d %9d %10d %10d %10d %6.1f%% %9s %5d\n",
+	fmt.Fprintf(&sb, "%-16s %3s %3s %6s %9d %9d %9d %9d %10d %10d %6.1f%% %9s %5d\n",
 		"Total", "", "", "", t.BoundsChecks, t.ElidedBounds, t.LSChecks, t.ElidedLS,
-		t.PageHits, t.CacheHits, t.CacheMisses, fastPct(t), "", t.Violations)
+		t.PageHits, t.CacheMisses, fastPct(t), "", t.Violations)
 	fmt.Fprintf(&sb, "pools with no check activity: %d\n", idle)
-	fmt.Fprintf(&sb, "write path: absorbed=%d spilled=%d batched=%d pend-hits=%d epoch-reclaims=%d\n",
-		t.Absorbed, t.Spilled, t.Batched, t.PendHits, t.EpochReclaims)
+	fmt.Fprintf(&sb, "write path: batched=%d epoch-reclaims=%d\n", t.Batched, t.EpochReclaims)
 	fmt.Fprintf(&sb, "indirect-call checks: %d (violations: %d)\n", snap.ICChecks, snap.ICViolations)
 	fmt.Fprintf(&sb, "vm counters: bounds=%d lscheck=%d icheck=%d elided-bounds=%d elided-ls=%d\n",
 		c.ChecksBounds, c.ChecksLS, c.ChecksIC, c.ElidedBounds, c.ElidedLS)

@@ -106,25 +106,22 @@ type CheckStats struct {
 	ElidedBounds uint64
 	ElidedLS     uint64
 	Violations   uint64
-	// The four lookup counters are disjoint — every object lookup lands in
-	// exactly one, by whichever structure finally answered it.
-	// PageHits: the O(1) shadow page map (single-object hit or definitive
-	// miss, including misses confirmed after a pending-cache demotion).
-	PageHits uint64
-	// CacheHits: a per-VCPU last-hit cache.  CacheMisses: lookups that
-	// fell through every fast structure and paid for a splay-tree descent.
-	CacheHits   uint64
+	// Every object lookup lands in exactly one of PageHits and CacheMisses.
+	// PageHits: the O(1) shadow page map answered (single-object hit or
+	// definitive miss).  CacheMisses: the lookup took the tree path and
+	// paid for a splay-tree descent.
+	PageHits    uint64
 	CacheMisses uint64
-	// PendHits: a per-VCPU pending registration cache (the object was
-	// registered but not yet spilled into a shard tree).
-	PendHits uint64
-	// Write-path sharding activity: Absorbed counts registrations taken
-	// entirely on a pending cache, Spilled counts batch spills of a full
-	// cache into the shard trees, Batched counts sva.pool.regbatch calls,
-	// and EpochReclaims counts epoch-based-reclamation passes over retired
-	// page-map entries.
-	Absorbed      uint64
-	Spilled       uint64
+	// CacheHits, PendHits, Absorbed and Spilled are always 0: the metapool
+	// has no last-hit or pending caches.  They stay in the schema because
+	// the benchmark's per-layer metrics (bench/metrics.go, bench/trace.go)
+	// read them.
+	CacheHits uint64
+	PendHits  uint64
+	Absorbed  uint64
+	Spilled   uint64
+	// Batched counts sva.pool.regbatch calls; EpochReclaims counts
+	// epoch-based-reclamation passes over retired page-map entries.
 	Batched       uint64
 	EpochReclaims uint64
 }
