@@ -33,15 +33,26 @@ func (s pmStep) shape(dense bool) (addr, size, off uint64) {
 // TestQuickPageMapMatchesSplay is the equivalence property the design
 // hangs on: a pool with the page-map fast path and a splay-only pool
 // (NoPageMap) driven through identical random register/drop/check
-// interleavings must produce bit-identical verdicts at every step, in
-// both step shapes.  The splay tree is the oracle; the page map may only
-// change how an answer is found, never the answer.
+// interleavings must produce bit-identical verdicts at every step.  The
+// splay tree is the oracle; the page map may only change how an answer is
+// found, never the answer.  This test runs the sparse, page-straddling
+// shape; TestQuickCacheMatchesReference runs the dense one.
 func TestQuickPageMapMatchesSplay(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		prop := func(steps []pmStep) bool { return matchesSplay(t, steps, dense) }
-		if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-			t.Fatalf("dense=%v: %v", dense, err)
-		}
+	prop := func(steps []pmStep) bool { return matchesSplay(t, steps, false) }
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQuickCacheMatchesReference is the same equivalence property over the
+// dense shape: every object start packed into one 1 KiB window, so the
+// fast pool's lookups mostly defer from an overflow page to the tree.  The
+// fast-path pool and the splay-only reference pool must agree on every
+// verdict, object count and bounds answer at every step.
+func TestQuickCacheMatchesReference(t *testing.T) {
+	prop := func(steps []pmStep) bool { return matchesSplay(t, steps, true) }
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
