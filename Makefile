@@ -14,11 +14,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static diagnostics: go vet, then staticcheck/govulncheck when the host has
-# them (CI images may; this repo never installs tools), then sva-lint's
-# kernel-invariant rules over every built-in target.  The JSON artifact is
-# what CI uploads.
+# Static diagnostics: go vet, gofmt over every tracked Go file, then
+# staticcheck/govulncheck when the host has them (CI images may; this repo
+# never installs tools), then sva-lint's kernel-invariant rules over every
+# built-in target.  The JSON artifact is what CI uploads.
 lint: vet
+	@unformatted="$$(gofmt -l $$(git ls-files '*.go'))"; test -z "$$unformatted" || { echo "lint: not gofmt-clean:"; echo "$$unformatted"; exit 1; }
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "lint: staticcheck not installed, skipping"
 	@command -v govulncheck >/dev/null 2>&1 && govulncheck ./... || echo "lint: govulncheck not installed, skipping"
 	$(GO) run ./cmd/sva-lint -target all -json sva-lint.json

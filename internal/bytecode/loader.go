@@ -29,7 +29,7 @@ func LoadTranslated(v *vm.VM, c *Cache, image []byte, user bool) (*ir.Module, bo
 		return nil, false, err
 	}
 	if !v.Cfg.Translated() {
-		return m, false, nil // direct configs execute without a translation
+		return m, false, nil // gcc-compiled configs keep no signed translation
 	}
 	cfg := v.Cfg.String()
 	if c != nil {

@@ -90,7 +90,7 @@ func TestLoadTranslated(t *testing.T) {
 	if _, hit, err := LoadTranslated(boot(vm.ConfigSVALLVM), cache, image, false); err != nil || !hit {
 		t.Fatalf("second llvm load: hit=%v err=%v; want cache hit", hit, err)
 	}
-	// Untranslated configs never touch the cache.
+	// gcc-compiled configs (native, sva-gcc) never touch the cache.
 	misses := cache.Misses
 	if _, hit, err := LoadTranslated(boot(vm.ConfigNative), cache, image, false); err != nil || hit {
 		t.Fatalf("native load: hit=%v err=%v", hit, err)

@@ -149,7 +149,7 @@ func TestConcurrentSiblings(t *testing.T) {
 			}
 			sum += v
 		}
-		if want := int64(100+101+102+103+104+105+106+107); sum != want {
+		if want := int64(100 + 101 + 102 + 103 + 104 + 105 + 106 + 107); sum != want {
 			t.Errorf("domain %d drained sum %d, want %d", i, sum, want)
 		}
 		if rc := run(t, sup.Domains[i], u, "chan_recv", 0); rc != -abi.EAGAIN {

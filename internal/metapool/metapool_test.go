@@ -295,3 +295,26 @@ func TestLoneObjectAnsweredByPageMap(t *testing.T) {
 		t.Errorf("splay lookups +%d, want +0", got)
 	}
 }
+
+// TestDropLeavesSplayLookups: deregistration finds its object in the tree
+// but is not a run-time check, so neither a narrow nor a wide drop may
+// move the splay lookup count.
+func TestDropLeavesSplayLookups(t *testing.T) {
+	p := NewPool("MP1", false, true, 0)
+	wide := uint64(3) << regionShift
+	if err := p.RegisterCPU(0, 0x6000, 64, TagHeap); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RegisterCPU(0, wide, 2<<regionShift, TagHeap); err != nil {
+		t.Fatal(err)
+	}
+	lk0 := p.SplayLookups()
+	for _, addr := range []uint64{0x6000, wide} {
+		if err := p.DropCPU(0, addr); err != nil {
+			t.Fatalf("drop %#x: %v", addr, err)
+		}
+	}
+	if got := p.SplayLookups() - lk0; got != 0 {
+		t.Errorf("splay lookups +%d across two drops, want +0", got)
+	}
+}

@@ -182,6 +182,11 @@ func rangesOverlap(a, b Range) bool {
 // Find returns the range containing addr, splaying it to the root.
 func (t *Tree) Find(addr uint64) (Range, bool) {
 	t.Lookups++
+	return t.find(addr)
+}
+
+// find is Find without the Lookups count.
+func (t *Tree) find(addr uint64) (Range, bool) {
 	if t.root == nil {
 		return Range{}, false
 	}
@@ -192,9 +197,10 @@ func (t *Tree) Find(addr uint64) (Range, bool) {
 	return Range{}, false
 }
 
-// FindStart returns the range that starts exactly at addr.
+// FindStart returns the range that starts exactly at addr.  It serves
+// deregistration, not run-time checks, so it leaves Lookups alone.
 func (t *Tree) FindStart(addr uint64) (Range, bool) {
-	r, ok := t.Find(addr)
+	r, ok := t.find(addr)
 	if !ok || r.Start != addr {
 		return Range{}, false
 	}

@@ -109,6 +109,9 @@ func TestFindStart(t *testing.T) {
 	if _, ok := tr.FindStart(65); ok {
 		t.Error("FindStart(65) should fail: interior pointer is not object start")
 	}
+	if tr.Lookups != 0 {
+		t.Errorf("Lookups = %d after FindStart only, want 0", tr.Lookups)
+	}
 }
 
 func TestWalkOrdered(t *testing.T) {

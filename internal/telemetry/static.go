@@ -50,16 +50,16 @@ type StaticStats struct {
 	// Per-rule attribution of elided bounds checks: R1 dominating
 	// identical check, R2 guarded counted-loop index, R3 value-range
 	// proven indices (a site provable several ways counts for the first).
-	BoundsElidedR1 int
-	BoundsElidedR2 int
-	BoundsElidedR3 int
-	GEPsProvenSafe       int
-	LSChecksInserted     int
-	LSChecksElided       int
-	ICChecksInserted     int
-	ObjRegistrations     int
-	StackRegistrations   int
-	PromotedAllocas      int
+	BoundsElidedR1     int
+	BoundsElidedR2     int
+	BoundsElidedR3     int
+	GEPsProvenSafe     int
+	LSChecksInserted   int
+	LSChecksElided     int
+	ICChecksInserted   int
+	ObjRegistrations   int
+	StackRegistrations int
+	PromotedAllocas    int
 	// §4.8 precision transformations.
 	ClonesCreated int
 	Devirtualized int

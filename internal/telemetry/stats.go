@@ -45,8 +45,7 @@ type VMStats struct {
 	Steps  uint64 // instructions interpreted
 	KSteps uint64 // instructions interpreted at kernel privilege
 	// EngineSteps counts instructions retired by the direct-threaded
-	// engine (a subset of Steps; zero with the engine off or in
-	// untranslated configurations).
+	// engine (a subset of Steps; zero with the engine off).
 	EngineSteps  uint64
 	Calls        uint64
 	Traps        uint64 // syscalls + interrupts delivered

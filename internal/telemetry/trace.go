@@ -41,12 +41,12 @@ const (
 // Event is one structured trace record.  Cycle is the virtual-cycle clock
 // at emission, so traces line up exactly with profiles and benchmarks.
 type Event struct {
-	Seq   uint64   `json:"seq"`
-	Cycle uint64   `json:"cycle"`
+	Seq   uint64    `json:"seq"`
+	Cycle uint64    `json:"cycle"`
 	Kind  EventKind `json:"kind"`
-	Name  string   `json:"name,omitempty"`
-	Args  []uint64 `json:"args,omitempty"`
-	Err   string   `json:"err,omitempty"`
+	Name  string    `json:"name,omitempty"`
+	Args  []uint64  `json:"args,omitempty"`
+	Err   string    `json:"err,omitempty"`
 }
 
 // Trace is a bounded ring buffer of Events: when full, the oldest events

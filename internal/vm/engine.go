@@ -15,7 +15,9 @@ import (
 // phi moves, intrinsic handler binding — resolved once at translate time.
 // runEngine then dispatches closure-to-closure for as long as the top
 // frame is translated, trapping back to the interpreter (vm.step) for the
-// rare instructions compileInstr declines (nil closure).
+// rare instructions compileInstr declines (nil closure).  Every config
+// runs here; what the config changes is the virtual cost (gccDelta), not
+// the executor.
 //
 // The interpreter remains the engine's oracle: every closure replicates
 // the exec switch's semantics bit for bit — same virtual cycle charges,
@@ -721,12 +723,7 @@ func (vm *VM) runLeaf(ex *Exec, fr *Frame, cf *compiledFunc) (uint64, error) {
 			// have changed under us.
 			fr.idx = i + 1
 			n++
-			vm.Counters.Steps += n
-			vm.Counters.EngineSteps += n
-			vm.CPU.Cycles += n
-			if kernel {
-				vm.Counters.KSteps += n
-			}
+			vm.retire(n, kernel)
 			return n, tb[i](vm, ex, fr)
 		}
 		fr.idx = i + 1
@@ -736,26 +733,33 @@ func (vm *VM) runLeaf(ex *Exec, fr *Frame, cf *compiledFunc) (uint64, error) {
 		}
 	}
 flush:
-	vm.Counters.Steps += n
+	vm.retire(n, kernel)
+	return n, err
+}
+
+// retire books n steps the engine retired at the given privilege: the
+// step counters, one cycle per step, and the config's gcc/llvm delta.
+func (vm *VM) retire(n uint64, kernel bool) {
+	s := vm.Counters.Steps
+	vm.Counters.Steps = s + n
 	vm.Counters.EngineSteps += n
-	vm.CPU.Cycles += n
 	if kernel {
 		vm.Counters.KSteps += n
 	}
-	return n, err
+	vm.CPU.Cycles += n + vm.gccDelta(s, n)
 }
 
 // runEngine dispatches threaded code for as long as the top frame is
 // translated.  It mirrors Run's per-step sequence exactly — same check
 // order, same counter and cycle bookkeeping, same recovery routing — and
-// returns nil whenever the interpreter should take over (untranslated
-// frame, halt, completion, exhausted budget); a non-nil return is the
-// error Run must surface.  Host panics under corrupted state unwind to
-// Run's recover, the same backstop the interpreter uses.  Runs of leaf
-// closures go through runLeaf's batched loop; everything else — calls,
-// returns, interpreter fallbacks, and every step under an attached
-// profiler (ChargeFn attribution is inherently per-step) — takes the
-// step-wise path below.
+// returns nil whenever the interpreter should take over (a frame whose
+// translation failed, halt, completion, exhausted budget); a non-nil
+// return is the error Run must surface.  Host panics under corrupted
+// state unwind to Run's recover, the same backstop the interpreter uses.
+// Runs of leaf closures go through runLeaf's batched loop; everything
+// else — calls, returns, interpreter fallbacks, and every step under an
+// attached profiler (ChargeFn attribution is inherently per-step) — takes
+// the step-wise path below.
 func (vm *VM) runEngine() error {
 	for {
 		if vm.Halted {
@@ -807,22 +811,12 @@ func (vm *VM) runEngine() error {
 				caller = ex.frames[n-2].fn.Nm
 			}
 			fr.idx++
-			vm.Counters.Steps++
-			vm.Counters.EngineSteps++
-			if ex.priv == hw.PrivKernel {
-				vm.Counters.KSteps++
-			}
-			vm.CPU.Cycles++
+			vm.retire(1, ex.priv == hw.PrivKernel)
 			err = top(vm, ex, fr)
 			vm.prof.ChargeFn(fn, caller, vm.CPU.Cycles-c0)
 		} else {
 			fr.idx++
-			vm.Counters.Steps++
-			vm.Counters.EngineSteps++
-			if ex.priv == hw.PrivKernel {
-				vm.Counters.KSteps++
-			}
-			vm.CPU.Cycles++
+			vm.retire(1, ex.priv == hw.PrivKernel)
 			err = top(vm, ex, fr)
 		}
 		if err != nil {

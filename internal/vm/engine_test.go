@@ -147,11 +147,17 @@ func TestTranslateAllOrNothing(t *testing.T) {
 }
 
 // TestThreadedEngineEquivalence runs random programs on engine-on and
-// engine-off twins of the same translated configuration: results, virtual
-// cycles and every counter except EngineSteps must be bit-identical, and
-// the engine must actually engage (EngineSteps > 0) so the comparison is
-// not vacuous.
+// engine-off twins of the same configuration, for every configuration:
+// results, virtual cycles and every counter except EngineSteps must be
+// bit-identical, and the engine must actually engage (EngineSteps > 0) so
+// the comparison is not vacuous.
 func TestThreadedEngineEquivalence(t *testing.T) {
+	for _, cfg := range []Config{ConfigNative, ConfigSVAGCC, ConfigSVALLVM, ConfigSafe} {
+		t.Run(cfg.String(), func(t *testing.T) { threadedEngineEquivalence(t, cfg) })
+	}
+}
+
+func threadedEngineEquivalence(t *testing.T, cfg Config) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m := ir.NewModule("equiv")
@@ -164,7 +170,7 @@ func TestThreadedEngineEquivalence(t *testing.T) {
 		var cycles [2]uint64
 		var counters [2]Counters
 		for i, engineOn := range []bool{true, false} {
-			v := New(hw.NewMachine(0, 16), ConfigSafe)
+			v := New(hw.NewMachine(0, 16), cfg)
 			v.SetEngine(engineOn)
 			if err := v.LoadModule(m, false); err != nil {
 				t.Fatal(err)

@@ -16,7 +16,7 @@ import (
 // Frame is one activation record on the virtual CPU's explicit call stack.
 type Frame struct {
 	fn     *ir.Function
-	cf     *compiledFunc // pre-lowered form (translated configs)
+	cf     *compiledFunc // translated form; nil only if translation failed
 	regs   []uint64      // virtual registers indexed by instruction number
 	params []uint64
 	block  int // index of the current basic block
@@ -201,22 +201,22 @@ func (vm *VM) NewExec(fn *ir.Function, args []uint64, stackTop uint64, priv uint
 		return nil, fmt.Errorf("vm: @%s expects %d args, got %d", fn.Nm, len(fn.Params), len(args))
 	}
 	ex := &Exec{sp: stackTop, priv: priv, kstackTop: stackTop}
-	fr := &Frame{
+	ex.frames = append(ex.frames, vm.entryFrame(fn, append([]uint64(nil), args...), stackTop))
+	return ex, nil
+}
+
+// entryFrame builds the bottom frame of a fresh execution — fn(params) on
+// a stack whose top is sp — translated like every frame pushCall builds.
+// NewExec, InitState, InitUserState and ExecState all start here.
+func (vm *VM) entryFrame(fn *ir.Function, params []uint64, sp uint64) *Frame {
+	return &Frame{
 		fn:     fn,
+		cf:     vm.translateCached(fn),
 		regs:   make([]uint64, fn.NumInstrs()),
-		params: append([]uint64(nil), args...),
-		spBase: stackTop,
+		params: params,
+		spBase: sp,
 		retTo:  -1,
 	}
-	if vm.Cfg.Translated() {
-		cf, err := vm.translate(fn)
-		if err != nil {
-			return nil, err
-		}
-		fr.cf = cf
-	}
-	ex.frames = append(ex.frames, fr)
-	return ex, nil
 }
 
 // SetExec installs an execution state as the virtual CPU's current state.
@@ -416,8 +416,8 @@ func (vm *VM) Run() (ret uint64, err error) {
 		if vm.engine {
 			if fr := vm.cur.frames[len(vm.cur.frames)-1]; fr.cf != nil {
 				// Translated top frame: the threaded engine dispatches
-				// until an untranslated frame (or halt/completion/budget)
-				// hands control back to this loop.
+				// until a frame whose translation failed (or halt,
+				// completion, budget) hands control back to this loop.
 				if herr := vm.runEngine(); herr != nil {
 					return 0, herr
 				}
@@ -533,13 +533,19 @@ func (vm *VM) stepIn(ex *Exec, fr *Frame) error {
 	if ex.priv == hw.PrivKernel {
 		vm.Counters.KSteps++
 	}
-	vm.CPU.Cycles++
-	if fr.cf == nil && vm.Counters.Steps&(1<<CycDirectPenaltyShift-1) == 0 {
-		// Untranslated code: the §3.4 translator's output is slightly
-		// better than the direct path (the gcc/llvm delta of Table 5).
-		vm.CPU.Cycles++
-	}
+	vm.CPU.Cycles += 1 + vm.gccDelta(vm.Counters.Steps-1, 1)
 	return vm.exec(ex, fr, in, ops)
+}
+
+// gccDelta is the gcc-versus-llvm code-quality charge (the Table 5 delta)
+// for retiring steps s+1..s+n: one cycle at every 32nd step, paid only by
+// the configs whose kernel gcc compiled.  It depends on the config alone,
+// never on which executor retired the steps.
+func (vm *VM) gccDelta(s, n uint64) uint64 {
+	if vm.Cfg.Translated() {
+		return 0
+	}
+	return (s+n)>>CycDirectPenaltyShift - s>>CycDirectPenaltyShift
 }
 
 // arg resolves the i'th operand, via the pre-lowered form when available.
@@ -1147,7 +1153,7 @@ func (vm *VM) pushCall(fn *ir.Function, args []uint64, retTo int, icTop bool) {
 	}
 	copy(fr.params, args)
 	fr.fn = fn
-	fr.cf = nil
+	fr.cf = vm.translateCached(fn)
 	fr.block = 0
 	fr.idx = 0
 	fr.prev = 0
@@ -1155,9 +1161,6 @@ func (vm *VM) pushCall(fn *ir.Function, args []uint64, retTo int, icTop bool) {
 	fr.retTo = retTo
 	fr.icTop = icTop
 	fr.cleanups = nil
-	if vm.Cfg.Translated() {
-		fr.cf = vm.translateCached(fn)
-	}
 	ex.frames = append(ex.frames, fr)
 }
 
@@ -1393,7 +1396,7 @@ func (vm *VM) gepOffset(fr *Frame, in *ir.Instr) (int64, error) {
 			return 0, err
 		}
 		// Plans are immutable once built; LoadOrStore keeps concurrent
-		// builders (untranslated configs have no eng.mu serialization)
+		// builders (the interpreter has no eng.mu serialization)
 		// agreeing on one canonical plan.
 		got, _ := vm.eng.gepPlans.LoadOrStore(in, plan)
 		plan = got.(*gepPlan)

@@ -408,6 +408,16 @@ func (vm *VM) TrapEnter(num int64, args []uint64) (IntrinsicResult, error) {
 	return IntrinsicResult{Push: h, PushArgs: hargs[:len(h.Params)], PushIC: true}, nil
 }
 
+// firstParam is the parameter list of an entry call fn(arg): arg in the
+// first slot, if fn has one, and zero in the rest.
+func firstParam(f *ir.Function, arg uint64) []uint64 {
+	params := make([]uint64, len(f.Params))
+	if len(params) > 0 {
+		params[0] = arg
+	}
+	return params
+}
+
 // InitState fabricates a fresh saved Integer State that, when loaded, runs
 // fn(arg) on the given kernel stack (sva.init.state) — the mechanism
 // beneath kernel-thread creation / copy_thread.
@@ -419,18 +429,8 @@ func (vm *VM) InitState(buf, fnAddr, arg, kstackTop uint64) error {
 	if f.IsDecl() {
 		return &GuestFault{Kind: "init.state of body-less function", Addr: fnAddr}
 	}
-	params := make([]uint64, len(f.Params))
-	if len(params) > 0 {
-		params[0] = arg
-	}
 	ex := &Exec{sp: kstackTop, priv: hw.PrivKernel, kstackTop: kstackTop}
-	ex.frames = append(ex.frames, &Frame{
-		fn:     f,
-		regs:   make([]uint64, f.NumInstrs()),
-		params: params,
-		spBase: kstackTop,
-		retTo:  -1,
-	})
+	ex.frames = append(ex.frames, vm.entryFrame(f, firstParam(f, arg), kstackTop))
 	vm.stateMu.Lock()
 	vm.savedStates[buf] = &Continuation{ex: *ex, retSlot: -1}
 	vm.stateMu.Unlock()
@@ -451,18 +451,8 @@ func (vm *VM) InitUserState(buf, fnAddr, arg, ustackTop, kstackTop uint64) error
 	if f.IsDecl() {
 		return &GuestFault{Kind: "init.user.state of body-less function", Addr: fnAddr}
 	}
-	params := make([]uint64, len(f.Params))
-	if len(params) > 0 {
-		params[0] = arg
-	}
 	ex := &Exec{sp: ustackTop, priv: hw.PrivUser, kstackTop: kstackTop}
-	ex.frames = append(ex.frames, &Frame{
-		fn:     f,
-		regs:   make([]uint64, f.NumInstrs()),
-		params: params,
-		spBase: ustackTop,
-		retTo:  -1,
-	})
+	ex.frames = append(ex.frames, vm.entryFrame(f, firstParam(f, arg), ustackTop))
 	vm.stateMu.Lock()
 	vm.savedStates[buf] = &Continuation{ex: *ex, retSlot: -1}
 	vm.stateMu.Unlock()
@@ -484,19 +474,8 @@ func (vm *VM) ExecState(icp, fnAddr, arg, ustackTop uint64) error {
 	if f == nil || f.IsDecl() {
 		return &GuestFault{Kind: "exec.state of bad entry address", Addr: fnAddr}
 	}
-	params := make([]uint64, len(f.Params))
-	if len(params) > 0 {
-		params[0] = arg
-	}
 	ex := vm.cur
-	entry := &Frame{
-		fn:     f,
-		regs:   make([]uint64, f.NumInstrs()),
-		params: params,
-		spBase: ustackTop,
-		retTo:  -1,
-	}
-	kept := append([]*Frame{entry}, ex.frames[ic.frameIdx:]...)
+	kept := append([]*Frame{vm.entryFrame(f, firstParam(f, arg), ustackTop)}, ex.frames[ic.frameIdx:]...)
 	delta := 1 - ic.frameIdx
 	ex.frames = kept
 	// The in-flight trap no longer has a result slot in the (replaced)

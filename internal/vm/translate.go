@@ -19,9 +19,9 @@ import (
 // translates once no matter which CPU calls it first.  internal/bytecode
 // adds the on-disk cache with cryptographic signing.
 //
-// In ConfigSVALLVM / ConfigSafe the stepper consults the cache; the
-// translation cost appears once per function, exactly like a load-time
-// translator with a warm cache afterwards.
+// Every config consults the cache; the translation cost appears once per
+// function, exactly like a load-time translator with a warm cache
+// afterwards.
 
 // operandKind discriminates pre-resolved operands.
 type operandKind uint8

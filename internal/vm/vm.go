@@ -51,8 +51,11 @@ func (c Config) String() string {
 	return fmt.Sprintf("config(%d)", int(c))
 }
 
-// Translated reports whether this configuration runs through the bytecode
-// translator (pre-lowered functions) rather than the direct interpreter.
+// Translated reports whether this configuration's kernel code comes out of
+// the SVM's bytecode translator (§3.4) rather than gcc.  It sets the
+// virtual gcc/llvm delta (see VM.gccDelta) and whether bytecode keeps a
+// signed translation; it does not choose the executor — every config runs
+// on the threaded engine.
 func (c Config) Translated() bool { return c == ConfigSVALLVM || c == ConfigSafe }
 
 // Virtual address space layout (part of the virtual architecture).
@@ -92,9 +95,10 @@ const FuncStride = 16
 // share; only the charges with no operation of their own remain here.
 const (
 	CycTrapSpill = 60 // SVA configs: llva-mediated kernel entry/exit
-	// CycDirectPenalty models gcc-vs-llvm code quality: the untranslated
-	// engine pays one extra cycle every 32 instructions (~3%, within the
-	// ±13% band the paper measured between the two code generators).
+	// CycDirectPenaltyShift models gcc-vs-llvm code quality: configs whose
+	// kernel gcc compiled pay one extra cycle every 32 instructions (~3%,
+	// within the ±13% band the paper measured between the two code
+	// generators).
 	CycDirectPenaltyShift = 5
 )
 
@@ -187,8 +191,9 @@ type VM struct {
 	// every VCPU — a function translates once per machine, not per CPU.
 	eng *engineCache
 	// engine gates direct-threaded dispatch of translated frames (the §3.4
-	// engine; see engine.go).  Default on; SetEngine(false) yields the
-	// pre-lowered interpreter the equivalence suite uses as oracle.
+	// engine; see engine.go) in every config.  Default on; SetEngine(false)
+	// yields the pre-lowered interpreter the equivalence suite uses as
+	// oracle.
 	engine bool
 	// tcache/tcGen memoize eng.translated per VCPU without the concurrent
 	// map (see translateCached); argbuf is the per-VCPU call-argument
@@ -352,7 +357,7 @@ func (vm *VM) RegisterIntrinsic(name string, fn IntrinsicFn) {
 }
 
 // SetEngine toggles direct-threaded dispatch on every VCPU of the machine.
-// Off, translated configs run the pre-lowered interpreter — the engine's
+// Off, every config runs the pre-lowered interpreter — the engine's
 // differential-testing oracle.  Verdicts, virtual cycles, counters and
 // trap behavior are bit-identical either way (the equivalence suite in
 // internal/exploits enforces this).
