@@ -1,7 +1,7 @@
 # Tier-1 gate plus the race-sensitive packages this repo parallelizes.
 GO ?= go
 
-.PHONY: all build test vet lint race check equiv bench benchbuild tables chaos netsmoke domsmoke smpsmoke16
+.PHONY: all build test vet lint race check equiv verify bench benchbuild tables chaos netsmoke domsmoke smpsmoke16
 
 all: check
 
@@ -28,7 +28,20 @@ lint: vet
 # produce bit-identical verdicts, virtual time and trap behavior across
 # the exploit battery, the randomized programs and the vm-level suites.
 equiv:
-	$(GO) test -run 'Equivalence' ./internal/vm/ ./internal/exploits/ ./internal/safety/
+	$(GO) test -run 'Equivalence' ./internal/vm/ ./internal/exploits/ ./internal/safety/ ./internal/kernel/
+
+# Bytecode-verifier gate (§5): the safety-compiled kernel must verify, and
+# the same kernel with any one injected bug kind (the list comes from
+# sva-verify itself) must be rejected with exit status 1.
+verify:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin/sva-verify" ./cmd/sva-verify && \
+	"$$bin/sva-verify" -kernel && \
+	for k in $$("$$bin/sva-verify" -kinds); do \
+		rc=0; "$$bin/sva-verify" -kernel -inject $$k >/dev/null || rc=$$?; \
+		if [ $$rc -ne 1 ]; then echo "verify: -inject $$k exited $$rc, want 1"; exit 1; fi; \
+		echo "verify: -inject $$k rejected"; \
+	done
 
 # The bench harness and the fault campaign fan out goroutines per kernel
 # config, per table job and per injection run, and SMP runs sibling VCPUs
@@ -65,7 +78,7 @@ smpsmoke16:
 benchbuild:
 	cd bench && $(GO) vet .
 
-check: build lint test equiv race netsmoke domsmoke smpsmoke16 benchbuild
+check: build lint test equiv verify race netsmoke domsmoke smpsmoke16 benchbuild
 
 # Fixed-seed fault-injection smoke: three classes through sva-run plus a
 # one-seed-per-class campaign table.  Any host escape fails the target.

@@ -7,13 +7,15 @@
 //
 //	sva-verify mod.sva            verify a bytecode file
 //	sva-verify -kernel            build + safety-compile + verify the kernel
-//	sva-verify -inject aliasing   demonstrate detection of an injected bug
+//	sva-verify -kernel -inject aliasing   demonstrate detection of an injected bug
+//	sva-verify -kinds             list the bug kinds -inject accepts
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"sva/internal/bytecode"
 	"sva/internal/ir"
@@ -25,12 +27,28 @@ import (
 func main() {
 	useKernel := flag.Bool("kernel", false, "verify the bundled safety-compiled kernel")
 	dis := flag.Bool("dis", false, "print the module's textual IR (disassemble)")
-	inject := flag.String("inject", "", "inject a pointer-analysis bug first (aliasing|edge|th-claim|split|bogus-elision|bogus-range-elision)")
+	var kinds []string
+	for _, k := range typecheck.BugKinds() {
+		kinds = append(kinds, k.String())
+	}
+	inject := flag.String("inject", "", "inject a pointer-analysis bug first ("+strings.Join(kinds, "|")+")")
+	listKinds := flag.Bool("kinds", false, "print the bug kinds -inject accepts, one per line, and exit")
 	flag.Parse()
+
+	if *listKinds {
+		fmt.Println(strings.Join(kinds, "\n"))
+		return
+	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "sva-verify:", err)
 		os.Exit(1)
+	}
+	// An -inject that cannot be carried out exits 2, so that exit status
+	// 1 always means the verifier rejected the module.
+	usage := func(err error) {
+		fmt.Fprintln(os.Stderr, "sva-verify:", err)
+		os.Exit(2)
 	}
 
 	var mod *ir.Module
@@ -61,21 +79,13 @@ func main() {
 	}
 
 	if *inject != "" {
-		kinds := map[string]typecheck.BugKind{
-			"aliasing":            typecheck.BugAliasing,
-			"edge":                typecheck.BugEdge,
-			"th-claim":            typecheck.BugTHClaim,
-			"split":               typecheck.BugSplit,
-			"bogus-elision":       typecheck.BugBogusElision,
-			"bogus-range-elision": typecheck.BugBogusRangeElision,
-		}
-		kind, ok := kinds[*inject]
+		kind, ok := typecheck.ParseBugKind(*inject)
 		if !ok {
-			fail(fmt.Errorf("unknown bug kind %q", *inject))
+			usage(fmt.Errorf("unknown bug kind %q", *inject))
 		}
 		desc, ok := typecheck.InjectBug(kind, 0, mod.Metapools, mod)
 		if !ok {
-			fail(fmt.Errorf("no injection site for %s", *inject))
+			usage(fmt.Errorf("no injection site for %s", *inject))
 		}
 		fmt.Println("injected:", desc)
 	}

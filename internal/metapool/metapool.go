@@ -756,6 +756,27 @@ func (p *Pool) BoundsCheckCPU(cpu int, src, derived uint64) error {
 	return nil // reduced check on incomplete pool: inconclusive
 }
 
+// BoundsTestCPU answers the pchk.bounds.test query behind loop-versioned
+// bounds checks: whether src lies in a registered object that also covers
+// src+lo and src+hi, with src <= src+lo <= src+hi (no wrap-around).  When
+// it holds, BoundsCheckCPU(src, src+k) passes for every k in [lo, hi],
+// because objects are contiguous.  It counts as one bounds check but never
+// records a violation: a false answer only sends the guest down the
+// checked path, whose own checks then report exactly what they always did.
+func (p *Pool) BoundsTestCPU(cpu int, src, lo, hi uint64) bool {
+	st := p.stats(cpu)
+	st.BoundsChecks++
+	first, last := src+lo, src+hi
+	if first < src || last < first || p.quarantined.Load() {
+		return false
+	}
+	r, ok := p.userRange(src)
+	if !ok {
+		r, ok = p.findCPU(cpu, src)
+	}
+	return ok && !p.quarantined.Load() && first >= r.Start && last <= r.End()
+}
+
 // LoadStoreCheckCPU verifies that a pointer used by a load or store
 // targets a registered object of this pool (pchk.lscheck).  It is only
 // required for non-TH pools; for incomplete pools it is disabled by the

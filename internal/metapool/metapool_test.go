@@ -318,3 +318,49 @@ func TestDropLeavesSplayLookups(t *testing.T) {
 		t.Errorf("splay lookups +%d across two drops, want +0", got)
 	}
 }
+
+// TestBoundsTestMatchesBoundsCheck: pchk.bounds.test answers true exactly
+// when pchk.bounds(src, src+k) would pass for every k in [lo, hi] —
+// inclusive one-past-the-end, no wrap-around — and records no violation
+// when it answers false.
+func TestBoundsTestMatchesBoundsCheck(t *testing.T) {
+	p := NewPool("MP1", false, true, 0)
+	if err := p.RegisterCPU(0, 0x1000, 64, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RegisterCPU(0, 0x1040, 16, 0); err != nil { // flush neighbour
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src, lo, hi uint64
+		want        bool
+	}{
+		{0x1000, 0, 63, true},
+		{0x1000, 24, 64, true},  // one past the end, as pchk.bounds allows
+		{0x1000, 24, 65, false}, // into the neighbour
+		{0x1010, 0, 48, true},
+		{0x1010, 8, 7, false},               // lo > hi
+		{0x1000, 0, ^uint64(0), false},      // src+hi wraps below src
+		{0x1000, ^uint64(0) - 8, 4, false},  // src+lo wraps
+		{0x0f00, 0x100, 0x110, false},       // src unregistered
+		{0x1000, 1 << 63, 1<<63 + 1, false}, // far past the object
+	} {
+		if got := p.BoundsTestCPU(0, tc.src, tc.lo, tc.hi); got != tc.want {
+			t.Errorf("BoundsTest(%#x, %d, %d) = %v, want %v", tc.src, tc.lo, tc.hi, got, tc.want)
+		}
+		if tc.want {
+			for _, k := range []uint64{tc.lo, tc.hi} {
+				if err := p.BoundsCheckCPU(0, tc.src, tc.src+k); err != nil {
+					t.Errorf("BoundsTest(%#x, %d, %d) passed but pchk.bounds at +%d fails: %v", tc.src, tc.lo, tc.hi, k, err)
+				}
+			}
+		}
+	}
+	if p.Stats.Violations != 0 {
+		t.Errorf("failed queries recorded %d violations", p.Stats.Violations)
+	}
+	p.Quarantine()
+	if p.BoundsTestCPU(0, 0x1000, 0, 63) {
+		t.Error("quarantined pool answered true")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sva/internal/hbench"
+	"sva/internal/typecheck"
 )
 
 func TestTable4(t *testing.T) {
@@ -67,12 +68,30 @@ func TestTable9(t *testing.T) {
 }
 
 func TestTCBTable(t *testing.T) {
+	rows, err := RunTCB()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(typecheck.BugKinds()) {
+		t.Fatalf("%d kinds run, want %d", len(rows), len(typecheck.BugKinds()))
+	}
+	// RunTCB keeps only distinct corruptions, so a kind whose seeds wrap
+	// onto the same site falls short here.
+	for _, r := range rows {
+		if len(r.Injected) != TCBSeeds {
+			t.Errorf("%s: %d distinct corruptions injected, want %d: %q",
+				r.Kind, len(r.Injected), TCBSeeds, r.Injected)
+		}
+		if r.Detected != len(r.Injected) {
+			t.Errorf("%s: detected %d of %d", r.Kind, r.Detected, len(r.Injected))
+		}
+	}
 	s, err := TCBTable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(s, "30/30 detected") {
-		t.Errorf("TCB table: %s", s)
+	if want := "35/35 detected, 35/35 seeds injected"; !strings.Contains(s, want) {
+		t.Errorf("TCB table lacks %q:\n%s", want, s)
 	}
 	t.Log("\n" + s)
 }

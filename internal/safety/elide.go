@@ -45,6 +45,9 @@ import (
 type elideStats struct {
 	BoundsR1, BoundsR2, BoundsR3 int
 	LSR1                         int
+	// checked lists the functions that keep an executed bounds check:
+	// the only ones rule R4 can improve.
+	checked []*ir.Function
 }
 
 func (s elideStats) bounds() int { return s.BoundsR1 + s.BoundsR2 + s.BoundsR3 }
@@ -63,6 +66,7 @@ func elideModule(m *ir.Module, rangeElide bool) (stats elideStats) {
 		stats.BoundsR2 += fs.BoundsR2
 		stats.BoundsR3 += fs.BoundsR3
 		stats.LSR1 += fs.LSR1
+		stats.checked = append(stats.checked, fs.checked...)
 	}
 	return
 }
@@ -94,6 +98,10 @@ func elideFunc(m *ir.Module, f *ir.Function, rangeElide bool) (stats elideStats)
 				case rangeElide && ea.gepRangeSafe(in):
 					in.Callee = svaops.Get(m, svaops.ElideBounds)
 					stats.BoundsR3++
+				default:
+					if len(stats.checked) == 0 {
+						stats.checked = []*ir.Function{f}
+					}
 				}
 				if keyed {
 					ea.evidence[key] = append(ea.evidence[key], eviSite{b, i})
@@ -158,13 +166,23 @@ type cellInfo struct {
 	// signed range.
 	incStores []*ir.Instr
 	loads     []*ir.Instr
+	// r4ok is the R4 discipline: no escape, every store a constant in
+	// [0, cellLimitMax) or a +1 step from a load under a live unsigned
+	// guard.  floor is then the least constant stored, which bounds the
+	// content of every initialized load from below.
+	r4ok  bool
+	floor int64
 }
 
-// cellGuard is a loop-header branch `br (icmp slt|ult (load cell), C), T, F`
-// whose true edge proves content(cell) < C on entry to T.
+// cellGuard is a loop-header branch `br (icmp slt|ult (load cell), n), T, F`
+// in block h whose true edge proves content(cell) < n on entry to T.
 type cellGuard struct {
-	t     *ir.BasicBlock
+	h, t *ir.BasicBlock
+	pred ir.Pred
+	n    ir.Value
+	// limit is n's value when konst: n is a constant in (0, cellLimitMax).
 	limit int64
+	konst bool
 }
 
 // cellLimitMax bounds guard limits and initialization constants so that a
@@ -348,7 +366,7 @@ func instrKills(in *ir.Instr, pool int64) bool {
 		}
 		return true
 	case svaops.BoundsCheck, svaops.LSCheck, svaops.ICCheck,
-		svaops.GetBoundsLo, svaops.GetBoundsHi,
+		svaops.GetBoundsLo, svaops.GetBoundsHi, svaops.BoundsTest,
 		svaops.ElideBounds, svaops.ElideLS,
 		svaops.Memcpy, svaops.Memmove, svaops.Memset, svaops.Memcmp:
 		// Checks only consult the object sets; the sva.mem* operations
@@ -480,7 +498,7 @@ func (ea *elideAnalysis) cellBound(idx ir.Value, n int64) bool {
 	}
 	// Upper bound: a guard with limit <= n is live at the load.
 	for _, g := range ea.cellGuards(cell) {
-		if g.limit <= n && ea.guardLiveAt(cell, g, ld) {
+		if g.konst && g.limit <= n && ea.guardLiveAt(cell, g, ld) {
 			return true
 		}
 	}
@@ -558,7 +576,8 @@ func storeToCellIn(b *ir.BasicBlock, from, to int, cell *ir.Instr) bool {
 	return false
 }
 
-// cellDiscipline classifies cell's uses and stores; memoized.
+// cellDiscipline classifies cell's uses and stores; memoized.  It settles
+// both the R2 discipline (ok) and the R4 one (r4ok, floor).
 func (ea *elideAnalysis) cellDiscipline(cell *ir.Instr) *cellInfo {
 	if ci, ok := ea.cells[cell]; ok {
 		return ci
@@ -594,6 +613,8 @@ func (ea *elideAnalysis) cellDiscipline(cell *ir.Instr) *cellInfo {
 	}
 	// Store discipline: constant non-negative initializations or guarded
 	// constant-step increments.
+	unit := true
+	ci.floor = cellLimitMax
 	for _, b := range ea.f.Blocks {
 		for i, in := range b.Instrs {
 			if in.Op != ir.OpStore || in.Args[1] != ir.Value(cell) {
@@ -602,41 +623,54 @@ func (ea *elideAnalysis) cellDiscipline(cell *ir.Instr) *cellInfo {
 			if c, okc := in.Args[0].(*ir.ConstInt); okc {
 				if sv := c.SignedValue(); sv >= 0 && sv < cellLimitMax {
 					ci.initStores = append(ci.initStores, eviSite{b, i})
+					ci.floor = min(ci.floor, sv)
 					continue
 				}
 				return ci
 			}
-			if ld := incrementOf(in.Args[0], cell); ld != nil {
+			if ld, step := incrementOf(in.Args[0], cell); ld != nil {
 				ci.incStores = append(ci.incStores, ld)
+				unit = unit && step == 1
 				continue
 			}
 			return ci
 		}
 	}
-	// Overflow freedom: each increment's operand load must itself be
-	// under some guard (so the written value stays far below 2^63).
+	// R2 overflow freedom: each increment's operand load must itself be
+	// under some constant guard (so the written value stays far below
+	// 2^63).
+	ci.ok = ea.incrementsGuarded(cell, ci, func(g cellGuard) bool { return g.konst })
+	// R4 monotonicity: every step is +1 from a load under a live unsigned
+	// guard `x <u n` (any n), so x+1 <= n-1+1 cannot wrap and the content
+	// never drops below the least constant stored.
+	ci.r4ok = unit && ea.incrementsGuarded(cell, ci, func(g cellGuard) bool { return g.pred == ir.PredULT })
+	return ci
+}
+
+// incrementsGuarded reports whether every increment's operand load of
+// cell is under a live guard accepted by use.
+func (ea *elideAnalysis) incrementsGuarded(cell *ir.Instr, ci *cellInfo, use func(cellGuard) bool) bool {
 	for _, ld := range ci.incStores {
 		bounded := false
 		for _, g := range ea.cellGuards(cell) {
-			if g.limit < cellLimitMax && ea.guardLiveAt(cell, g, ld) {
+			if use(g) && ea.guardLiveAt(cell, g, ld) {
 				bounded = true
 				break
 			}
 		}
 		if !bounded {
-			return ci
+			return false
 		}
 	}
-	ci.ok = true
-	return ci
+	return true
 }
 
 // incrementOf matches `add (load cell), C` (either operand order) with
-// 0 < C <= cellStepMax, returning the load.
-func incrementOf(v ir.Value, cell *ir.Instr) *ir.Instr {
+// 0 < C <= cellStepMax, returning the load and C.
+func incrementOf(v ir.Value, cell *ir.Instr) (*ir.Instr, int64) {
 	add, ok := v.(*ir.Instr)
 	if !ok || add.Op != ir.OpAdd {
-		return nil
+		return nil, 0
 	}
 	var ld *ir.Instr
 	var c *ir.ConstInt
@@ -648,12 +682,13 @@ func incrementOf(v ir.Value, cell *ir.Instr) *ir.Instr {
 		}
 	}
 	if ld == nil || c == nil {
-		return nil
+		return nil, 0
 	}
-	if sv := c.SignedValue(); sv <= 0 || sv > cellStepMax {
-		return nil
+	sv := c.SignedValue()
+	if sv <= 0 || sv > cellStepMax {
+		return nil, 0
 	}
-	return ld
+	return ld, sv
 }
 
 // registrationOnly reports whether every use of cast is as the pointer
@@ -679,10 +714,11 @@ func registrationOnly(f *ir.Function, cast *ir.Instr) bool {
 }
 
 // cellGuards collects the loop-header branches guarding cell: a block
-// terminated by `condbr (icmp slt|ult (load cell), C), T, F` where the
+// terminated by `condbr (icmp slt|ult (load cell), L), T, F` where the
 // compared load reads the cell in the same block with no intervening
 // store, T != F, and T's unique predecessor is the guarding block (so
-// every entry to T carries the fact).
+// every entry to T carries the fact).  R2 uses the guards whose limit is
+// an in-range constant (konst); R4 uses the unsigned ones with any limit.
 func (ea *elideAnalysis) cellGuards(cell *ir.Instr) []cellGuard {
 	if gs, ok := ea.guards[cell]; ok {
 		return gs
@@ -704,12 +740,12 @@ func (ea *elideAnalysis) cellGuards(cell *ir.Instr) []cellGuard {
 		if !ok || ld.Op != ir.OpLoad || ld.Args[0] != ir.Value(cell) {
 			continue
 		}
-		c, ok := cmp.Args[1].(*ir.ConstInt)
-		if !ok {
-			continue
+		g := cellGuard{h: h, t: br.Blocks[0], pred: cmp.Pred, n: cmp.Args[1]}
+		if c, okc := cmp.Args[1].(*ir.ConstInt); okc {
+			g.limit = c.SignedValue()
+			g.konst = g.limit > 0 && g.limit < cellLimitMax
 		}
-		lim := c.SignedValue()
-		if lim <= 0 || lim >= cellLimitMax {
+		if !g.konst && g.pred != ir.PredULT {
 			continue
 		}
 		// The compared load must read the cell in this block with no
@@ -719,12 +755,268 @@ func (ea *elideAnalysis) cellGuards(cell *ir.Instr) []cellGuard {
 		if !okp || bL != h || storeToCellIn(h, iL+1, len(h.Instrs), cell) {
 			continue
 		}
-		t := br.Blocks[0]
-		if preds := ea.cfg.Preds[t]; len(preds) != 1 || preds[0] != h {
+		if preds := ea.cfg.Preds[g.t]; len(preds) != 1 || preds[0] != h {
 			continue
 		}
-		gs = append(gs, cellGuard{t: t, limit: lim})
+		gs = append(gs, g)
 	}
 	ea.guards[cell] = gs
 	return gs
+}
+
+// ---------------------------------------------------------------------------
+// Rule R4: loop-versioned bounds checks.
+//
+// A loop `while (load j <u n) { ... pchk.bounds(base, gep i8* base, load j) ... }`
+// whose bound n comes from untrusted data defeats R1–R3: no dominating
+// check, constant guard or interval covers base+j.  Classic loop
+// versioning (Gupta, LOPLAS 1993) hoists one range test instead:
+//
+//	pre:    ...; cc = icmp ult c, n; condbr cc, r4.test, H
+//	r4.test: ok = pchk.bounds.test(pool, base, c, n-1); condbr ok, H.r4, H
+//	H.r4 ...: a copy of the loop whose versioned checks are pchk.elide.bounds
+//	H ...:    the original loop, every check in place
+//
+// where c is the least constant ever stored to the induction cell j (the
+// cell's R4 discipline makes j >= c at every initialized load) and the
+// header's own test keeps j <u n.  Objects are contiguous, so a passing
+// test covers base+j for every j in [c, n).  A failing test, or c >= n,
+// runs the original loop unchanged, so the trap point, trap cycle and
+// partial side effects under a hostile n are exactly those of the checked
+// program.  The loop must contain no pool mutation or unknown call (the
+// instrKills rule), so the test's answer still holds at every copied
+// check; like R1, this assumes no other VCPU drops the object meanwhile.
+
+// r4Loop is one loop the R4 rewrite versions.
+type r4Loop struct {
+	pre   *ir.BasicBlock // unique outside predecessor, ends `br head`
+	head  *ir.BasicBlock
+	body  []*ir.BasicBlock // loop blocks in function order
+	n     ir.Value         // exit-test bound
+	c     int64            // cell floor: least start value
+	pool  int64
+	base  ir.Value    // i8* base the versioned checks index from
+	sites []*ir.Instr // pchk.bounds calls to elide in the copy
+	inner map[*ir.BasicBlock]bool
+}
+
+// versionLoops applies rule R4 to funcs, the functions of m that keep an
+// executed bounds check after R1–R3, returning the number of checks given
+// an elided twin.
+func versionLoops(m *ir.Module, funcs []*ir.Function) (versioned int) {
+	for _, f := range funcs {
+		versioned += versionFunc(m, f)
+	}
+	return
+}
+
+func versionFunc(m *ir.Module, f *ir.Function) int {
+	ea := newElideAnalysis(f)
+	// Candidates are found on the unmodified function; only pairwise
+	// disjoint ones (loop plus preheader) are rewritten, innermost first
+	// (reverse RPO visits inner headers before outer ones), so no rewrite
+	// invalidates another's analysis.
+	var loops []*r4Loop
+	claimed := map[*ir.BasicBlock]bool{}
+	for k := len(ea.cfg.RPO) - 1; k >= 0; k-- {
+		l := ea.r4Candidate(ea.cfg.RPO[k])
+		if l == nil || claimed[l.pre] {
+			continue
+		}
+		clash := false
+		for b := range l.inner {
+			clash = clash || claimed[b]
+		}
+		if clash {
+			continue
+		}
+		claimed[l.pre] = true
+		for b := range l.inner {
+			claimed[b] = true
+		}
+		loops = append(loops, l)
+	}
+	n := 0
+	for _, l := range loops {
+		n += versionLoop(m, f, l)
+	}
+	if len(loops) > 0 {
+		f.InvalidateCFG()
+		f.Renumber()
+	}
+	return n
+}
+
+// r4Candidate matches the loop headed by h against rule R4's shape,
+// returning nil when it does not apply.
+func (ea *elideAnalysis) r4Candidate(h *ir.BasicBlock) *r4Loop {
+	br := h.Terminator()
+	if br == nil || br.Op != ir.OpCondBr {
+		return nil
+	}
+	cmp, ok := br.Args[0].(*ir.Instr)
+	if !ok || cmp.Op != ir.OpICmp || cmp.Pred != ir.PredULT {
+		return nil
+	}
+	ld, ok := cmp.Args[0].(*ir.Instr)
+	if !ok || ld.Op != ir.OpLoad {
+		return nil
+	}
+	cell, ok := ld.Args[0].(*ir.Instr)
+	if !ok || cell.Op != ir.OpAlloca {
+		return nil
+	}
+	var guard *cellGuard
+	for _, g := range ea.cellGuards(cell) {
+		if g.h == h && g.pred == ir.PredULT {
+			guard = &g
+			break
+		}
+	}
+	if guard == nil {
+		return nil
+	}
+	inner := naturalLoop(ea.cfg, ea.dom, h)
+	if inner == nil || !inner[guard.t] || inner[br.Blocks[1]] || definedIn(guard.n, inner) {
+		return nil
+	}
+	var pre *ir.BasicBlock
+	for _, p := range ea.cfg.Preds[h] {
+		if inner[p] {
+			continue
+		}
+		if pre != nil {
+			return nil
+		}
+		pre = p
+	}
+	if pre == nil || pre.Terminator().Op != ir.OpBr {
+		return nil
+	}
+	ci := ea.cellDiscipline(cell)
+	if !ci.r4ok {
+		return nil
+	}
+	l := &r4Loop{pre: pre, head: h, n: guard.n, c: ci.floor, inner: inner}
+	for _, b := range ea.f.Blocks {
+		if !inner[b] {
+			continue
+		}
+		l.body = append(l.body, b)
+		for _, in := range b.Instrs {
+			if in.Op == ir.OpPhi {
+				return nil // the copy would need merged incoming edges
+			}
+			if in.Op.IsTerminator() {
+				for _, s := range in.Blocks {
+					if !inner[s] && len(s.Instrs) > 0 && s.Instrs[0].Op == ir.OpPhi {
+						return nil
+					}
+				}
+			}
+			if name, okc := in.IsIntrinsicCall(); okc && name == svaops.BoundsCheck {
+				ea.r4Site(l, cell, ci, guard, in)
+			}
+		}
+	}
+	if len(l.sites) == 0 {
+		return nil
+	}
+	for _, b := range l.body {
+		if ea.killIn(b, 0, len(b.Instrs), l.pool) {
+			return nil
+		}
+	}
+	return l
+}
+
+// r4Site adds check to l's sites when it indexes i8* base by a load of the
+// induction cell under the exit test, with base fixed outside the loop.
+// The first matching site fixes the loop's (pool, base) pair.
+func (ea *elideAnalysis) r4Site(l *r4Loop, cell *ir.Instr, ci *cellInfo, guard *cellGuard, check *ir.Instr) {
+	mp, ok := poolConst(check)
+	if !ok {
+		return
+	}
+	g, ok := stripPtrCasts(check.Args[2]).(*ir.Instr)
+	if !ok || g.Op != ir.OpGEP || len(g.Args) != 2 || g.Args[0].Type() != svaops.BytePtr {
+		return
+	}
+	base := g.Args[0]
+	if stripPtrCasts(check.Args[1]) != stripPtrCasts(base) || definedIn(base, l.inner) {
+		return
+	}
+	if l.base != nil && (base != l.base || mp != l.pool) {
+		return
+	}
+	idx, ok := g.Args[1].(*ir.Instr)
+	if !ok || idx.Op != ir.OpLoad || idx.Args[0] != ir.Value(cell) ||
+		!ea.initDominates(ci, idx) || !ea.guardLiveAt(cell, *guard, idx) {
+		return
+	}
+	l.base, l.pool = base, mp
+	l.sites = append(l.sites, check)
+}
+
+// versionLoop performs the R4 rewrite of one loop, returning the number
+// of checks elided in the fast copy.
+func versionLoop(m *ir.Module, f *ir.Function, l *r4Loop) int {
+	copies := ir.CloneBlocks(l.body, ".r4")
+	byOrig := map[*ir.Instr]bool{}
+	for _, s := range l.sites {
+		byOrig[s] = true
+	}
+	for _, b := range l.body {
+		nb := copies[b]
+		for i, in := range b.Instrs {
+			if byOrig[in] {
+				nb.Instrs[i].Callee = svaops.Get(m, svaops.ElideBounds)
+			}
+		}
+	}
+	// pre: replace `br head` by the c <u n guard.
+	c := ir.I64c(l.c)
+	test := f.NewBlock(l.head.Nm + ".r4test")
+	pre := l.pre
+	pre.Instrs = pre.Instrs[:len(pre.Instrs)-1]
+	cc := pre.Append(&ir.Instr{Op: ir.OpICmp, Typ: ir.I1, Pred: ir.PredULT, Args: []ir.Value{c, l.n}})
+	pre.Append(&ir.Instr{Op: ir.OpCondBr, Typ: ir.Void, Args: []ir.Value{cc}, Blocks: []*ir.BasicBlock{test, l.head}})
+	// r4.test: one range query for the whole loop.
+	last := test.Append(&ir.Instr{Op: ir.OpSub, Typ: ir.I64, Args: []ir.Value{l.n, ir.I64c(1)}})
+	ok := test.Append(&ir.Instr{Op: ir.OpCall, Typ: ir.I1, Callee: svaops.Get(m, svaops.BoundsTest),
+		Args: []ir.Value{ir.I32c(l.pool), l.base, c, last}})
+	test.Append(&ir.Instr{Op: ir.OpCondBr, Typ: ir.Void, Args: []ir.Value{ok}, Blocks: []*ir.BasicBlock{copies[l.head], l.head}})
+	return len(l.sites)
+}
+
+// naturalLoop returns the blocks of the loop headed by h: h plus every
+// block that reaches a latch (a predecessor of h that h dominates) without
+// passing through h.  It returns nil when h heads no loop.
+func naturalLoop(cfg *ir.CFG, dom *ir.DomTree, h *ir.BasicBlock) map[*ir.BasicBlock]bool {
+	var stack []*ir.BasicBlock
+	for _, p := range cfg.Preds[h] {
+		if dom.Dominates(h, p) {
+			stack = append(stack, p)
+		}
+	}
+	if len(stack) == 0 {
+		return nil
+	}
+	loop := map[*ir.BasicBlock]bool{h: true}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if loop[x] || !dom.Dominates(h, x) {
+			continue
+		}
+		loop[x] = true
+		stack = append(stack, cfg.Preds[x]...)
+	}
+	return loop
+}
+
+// definedIn reports whether v is an instruction of one of blocks.
+func definedIn(v ir.Value, blocks map[*ir.BasicBlock]bool) bool {
+	in, ok := v.(*ir.Instr)
+	return ok && blocks[in.Parent()]
 }

@@ -44,6 +44,9 @@ type Config struct {
 	// indices), keeping R1/R2: the R3 on/off trap-equivalence suite and
 	// elision-delta measurements flip this.
 	DisableRangeElide bool
+	// DisableLoopVersioning turns off only elision rule R4 (loop-versioned
+	// bounds checks): the R4 on/off equivalence suites flip this.
+	DisableLoopVersioning bool
 }
 
 // Program is the result of safety compilation over a set of modules.
@@ -96,6 +99,7 @@ func Compile(cfg Config, mods ...*ir.Module) (*Program, error) {
 		}
 	}
 	var elided elideStats
+	checked := map[*ir.Module][]*ir.Function{}
 	if !cfg.DisableElide {
 		for _, m := range mods {
 			s := elideModule(m, !cfg.DisableRangeElide)
@@ -103,6 +107,7 @@ func Compile(cfg Config, mods ...*ir.Module) (*Program, error) {
 			elided.BoundsR2 += s.BoundsR2
 			elided.BoundsR3 += s.BoundsR3
 			elided.LSR1 += s.LSR1
+			checked[m] = s.checked
 		}
 	}
 	p.annotate()
@@ -115,6 +120,15 @@ func Compile(cfg Config, mods ...*ir.Module) (*Program, error) {
 	p.Metrics.BoundsElidedR1 = elided.BoundsR1
 	p.Metrics.BoundsElidedR2 = elided.BoundsR2
 	p.Metrics.BoundsElidedR3 = elided.BoundsR3
+	// R4 runs last, on the annotated program: its loop copies inherit
+	// their originals' pool annotations, and the Table 9 counts above
+	// describe the instrumented program, in which every versioned check
+	// is still an inserted (and, on the fallback path, executed) site.
+	if !cfg.DisableLoopVersioning {
+		for _, m := range mods {
+			p.Metrics.BoundsElidedR4 += versionLoops(m, checked[m])
+		}
+	}
 
 	mods[0].Metapools = p.Descs
 	mods[0].CallSets = inst.callSets

@@ -133,6 +133,14 @@ const (
 	// near-free counters.
 	ElideBounds = "pchk.elide.bounds"
 	ElideLS     = "pchk.elide.ls"
+	// BoundsTest is the non-trapping range query behind loop-versioned
+	// bounds checks (elision rule R4): bounds.test(pool, src, lo, hi)
+	// returns 1 exactly when src lies in a registered object of pool that
+	// also covers src+lo and src+hi (one past the end allowed, as for
+	// pchk.bounds), with src <= src+lo <= src+hi computed without
+	// wrap-around.  It never raises a violation: a failed query only
+	// selects the checked copy of the loop.
+	BoundsTest = "pchk.bounds.test"
 )
 
 // Class partitions the operations the way the paper's tables do.
@@ -273,6 +281,7 @@ var Ops = []*Op{
 	{ICCheck, ClassCheck, costIC, sig(ir.Void, ir.I32, BytePtr)},
 	{ElideBounds, ClassCheck, costElide, sig(ir.Void, ir.I32, BytePtr, BytePtr)},
 	{ElideLS, ClassCheck, costElide, sig(ir.Void, ir.I32, BytePtr)},
+	{BoundsTest, ClassCheck, costBounds, sig(ir.I1, ir.I32, BytePtr, ir.I64, ir.I64)},
 	{GetBoundsLo, ClassCheck, 0, sig(ir.I64, ir.I32, BytePtr)},
 	{GetBoundsHi, ClassCheck, 0, sig(ir.I64, ir.I32, BytePtr)},
 }

@@ -36,7 +36,7 @@ func Install(m *vm.VM) {
 		if err := requireKernel(m, svaops.SaveInteger); err != nil {
 			return none{}, err
 		}
-		m.SaveIntegerState(a[0], -1)
+		m.SaveIntegerState(a[0])
 		return none{}, nil
 	})
 	reg(svaops.LoadInteger, func(m *vm.VM, a []uint64) (none, error) {

@@ -50,9 +50,13 @@ type StaticStats struct {
 	// Per-rule attribution of elided bounds checks: R1 dominating
 	// identical check, R2 guarded counted-loop index, R3 value-range
 	// proven indices (a site provable several ways counts for the first).
+	// R4 counts loop-versioned sites: each keeps its check in the
+	// fallback loop and gains an elided twin in the fast copy, so R4
+	// sites are not part of BoundsChecksElided.
 	BoundsElidedR1     int
 	BoundsElidedR2     int
 	BoundsElidedR3     int
+	BoundsElidedR4     int
 	GEPsProvenSafe     int
 	LSChecksInserted   int
 	LSChecksElided     int
@@ -81,5 +85,8 @@ func (m StaticStats) String() string {
 	row("Stores", m.Stores)
 	row("Structure Indexing", m.StructIdx)
 	row("Array Indexing", m.ArrayIdx)
+	fmt.Fprintf(&sb, "Bounds checks      inserted=%-6d elided=%d (R1=%d R2=%d R3=%d), loop-versioned R4=%d\n",
+		m.BoundsChecksInserted, m.BoundsChecksElided, m.BoundsElidedR1, m.BoundsElidedR2, m.BoundsElidedR3,
+		m.BoundsElidedR4)
 	return sb.String()
 }

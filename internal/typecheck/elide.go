@@ -25,6 +25,13 @@ package typecheck
 // Rule R3 (value-range proven indices): like R2 but the index bounds come
 // from an interval abstract interpretation over the function's SSA values
 // (branch-refined ranges, urem/and-mask transfers); see vrange.go.
+//
+// Rule R4 (loop-versioned checks): the elided check indexes an i8* base by
+// a load of an induction cell whose every store is a constant >= c or a +1
+// step under an unsigned guard, under a live exit test `j <u n`; and the
+// last pchk.bounds.test before it, entered only through a `c <u n` guard,
+// asked for base+c .. base+n-1 in base's object and took its true edge,
+// with no kill and no recomputation of n or base since.
 
 import (
 	"fmt"
@@ -53,6 +60,8 @@ type elideVerifier struct {
 
 	// rng is the lazily-built value-range analysis for rule R3 (vrange.go).
 	rng *vRanges
+	// tests lists the blocks branching on a pchk.bounds.test (rule R4).
+	tests *[]*ir.BasicBlock
 }
 
 type vcellInfo struct {
@@ -60,11 +69,21 @@ type vcellInfo struct {
 	initStores []elideSite
 	incStores  []*ir.Instr
 	loads      []*ir.Instr
+	// r4ok: every store is a constant in [0, 2^61) or a +1 step from a
+	// load under a live unsigned guard, so no initialized load reads
+	// less than floor, the least constant stored.
+	r4ok  bool
+	floor int64
 }
 
+// vcellGuard is `condbr (icmp slt|ult (load cell), n), t, _` ending block
+// h; limit is n when konst (a constant in (0, 2^61)).
 type vcellGuard struct {
-	t     *ir.BasicBlock
+	h, t  *ir.BasicBlock
+	pred  ir.Pred
+	n     ir.Value
 	limit int64
+	konst bool
 }
 
 const (
@@ -112,12 +131,13 @@ func (c *Checker) checkElisions(f *ir.Function) {
 				}
 			case svaops.ElideBounds:
 				key, pool, keyed := ev.boundsKey(in)
-				if (keyed && ev.provenByEvidence(key, pool, b, i)) || ev.gepGuardSafe(in) || ev.gepRangeSafe(in) {
+				if (keyed && ev.provenByEvidence(key, pool, b, i)) || ev.gepGuardSafe(in) || ev.gepRangeSafe(in) ||
+					ev.gepVersionSafe(in, b, i) {
 					if keyed {
 						ev.evidence[key] = append(ev.evidence[key], elideSite{b, i})
 					}
 				} else {
-					c.fail(f, "elision", "cannot re-derive elided bounds check on %s (no dominating check, guard or range proof)",
+					c.fail(f, "elision", "cannot re-derive elided bounds check on %s (no dominating check, guard, range or versioning proof)",
 						in.Args[2].Ident())
 				}
 			case svaops.ElideLS:
@@ -281,7 +301,7 @@ func vinstrKills(in *ir.Instr, pool int64) bool {
 		}
 		return true
 	case svaops.BoundsCheck, svaops.LSCheck, svaops.ICCheck,
-		svaops.GetBoundsLo, svaops.GetBoundsHi,
+		svaops.GetBoundsLo, svaops.GetBoundsHi, svaops.BoundsTest,
 		svaops.ElideBounds, svaops.ElideLS,
 		svaops.Memcpy, svaops.Memmove, svaops.Memset, svaops.Memcmp:
 		return false
@@ -394,7 +414,7 @@ func (ev *elideVerifier) cellBound(idx ir.Value, n int64) bool {
 		return false
 	}
 	for _, g := range ev.cellGuards(cell) {
-		if g.limit <= n && ev.guardLiveAt(cell, g, ld) {
+		if g.konst && g.limit <= n && ev.guardLiveAt(cell, g, ld) {
 			return true
 		}
 	}
@@ -495,6 +515,8 @@ func (ev *elideVerifier) cellDiscipline(cell *ir.Instr) *vcellInfo {
 			}
 		}
 	}
+	unit := true
+	ci.floor = vcellLimitMax
 	for _, b := range ev.f.Blocks {
 		for i, in := range b.Instrs {
 			if in.Op != ir.OpStore || in.Args[1] != ir.Value(cell) {
@@ -503,37 +525,44 @@ func (ev *elideVerifier) cellDiscipline(cell *ir.Instr) *vcellInfo {
 			if c, okc := in.Args[0].(*ir.ConstInt); okc {
 				if sv := c.SignedValue(); sv >= 0 && sv < vcellLimitMax {
 					ci.initStores = append(ci.initStores, elideSite{b, i})
+					ci.floor = min(ci.floor, sv)
 					continue
 				}
 				return ci
 			}
-			if ld := vincrementOf(in.Args[0], cell); ld != nil {
+			if ld, step := vincrementOf(in.Args[0], cell); ld != nil {
 				ci.incStores = append(ci.incStores, ld)
+				unit = unit && step == 1
 				continue
 			}
 			return ci
 		}
 	}
+	ci.ok = ev.incrementsGuarded(cell, ci, func(g vcellGuard) bool { return g.konst })
+	ci.r4ok = unit && ev.incrementsGuarded(cell, ci, func(g vcellGuard) bool { return g.pred == ir.PredULT })
+	return ci
+}
+
+func (ev *elideVerifier) incrementsGuarded(cell *ir.Instr, ci *vcellInfo, use func(vcellGuard) bool) bool {
 	for _, ld := range ci.incStores {
 		bounded := false
 		for _, g := range ev.cellGuards(cell) {
-			if g.limit < vcellLimitMax && ev.guardLiveAt(cell, g, ld) {
+			if use(g) && ev.guardLiveAt(cell, g, ld) {
 				bounded = true
 				break
 			}
 		}
 		if !bounded {
-			return ci
+			return false
 		}
 	}
-	ci.ok = true
-	return ci
+	return true
 }
 
-func vincrementOf(v ir.Value, cell *ir.Instr) *ir.Instr {
+func vincrementOf(v ir.Value, cell *ir.Instr) (*ir.Instr, int64) {
 	add, ok := v.(*ir.Instr)
 	if !ok || add.Op != ir.OpAdd {
-		return nil
+		return nil, 0
 	}
 	var ld *ir.Instr
 	var c *ir.ConstInt
@@ -545,12 +574,13 @@ func vincrementOf(v ir.Value, cell *ir.Instr) *ir.Instr {
 		}
 	}
 	if ld == nil || c == nil {
-		return nil
+		return nil, 0
 	}
-	if sv := c.SignedValue(); sv <= 0 || sv > vcellStepMax {
-		return nil
+	sv := c.SignedValue()
+	if sv <= 0 || sv > vcellStepMax {
+		return nil, 0
 	}
-	return ld
+	return ld, sv
 }
 
 func vregistrationOnly(f *ir.Function, cast *ir.Instr) bool {
@@ -594,24 +624,172 @@ func (ev *elideVerifier) cellGuards(cell *ir.Instr) []vcellGuard {
 		if !ok || ld.Op != ir.OpLoad || ld.Args[0] != ir.Value(cell) {
 			continue
 		}
-		c, ok := cmp.Args[1].(*ir.ConstInt)
-		if !ok {
-			continue
+		g := vcellGuard{h: h, t: br.Blocks[0], pred: cmp.Pred, n: cmp.Args[1]}
+		if c, okc := cmp.Args[1].(*ir.ConstInt); okc {
+			g.limit = c.SignedValue()
+			g.konst = g.limit > 0 && g.limit < vcellLimitMax
 		}
-		lim := c.SignedValue()
-		if lim <= 0 || lim >= vcellLimitMax {
+		if !g.konst && g.pred != ir.PredULT {
 			continue
 		}
 		bL, iL, okp := vsitePos(ld)
 		if !okp || bL != h || vstoreToCellIn(h, iL+1, len(h.Instrs), cell) {
 			continue
 		}
-		t := br.Blocks[0]
-		if preds := ev.cfg.Preds[t]; len(preds) != 1 || preds[0] != h {
+		if preds := ev.cfg.Preds[g.t]; len(preds) != 1 || preds[0] != h {
 			continue
 		}
-		gs = append(gs, vcellGuard{t: t, limit: lim})
+		gs = append(gs, g)
 	}
 	ev.guards[cell] = gs
 	return gs
+}
+
+// gepVersionSafe re-derives rule R4 for the elided check at (b, i): the
+// check indexes i8* base by a load of an R4-disciplined cell j (so
+// j >= floor), under a live exit test j <u n, and the most recent
+// pchk.bounds.test before it — on (pool, base, c, n-1) with c <= floor,
+// behind a c <u n guard — returned true with no kill since.  The test
+// then proved base+c .. base+n-1 inside base's object without wrap, and
+// base+j lies between them.
+func (ev *elideVerifier) gepVersionSafe(check *ir.Instr, b *ir.BasicBlock, i int) bool {
+	mp, ok := vpoolConst(check)
+	if !ok {
+		return false
+	}
+	g, ok := vstripPtrCasts(check.Args[2]).(*ir.Instr)
+	if !ok || g.Op != ir.OpGEP || len(g.Args) != 2 || g.Args[0].Type() != svaops.BytePtr {
+		return false
+	}
+	base := g.Args[0]
+	if vstripPtrCasts(check.Args[1]) != vstripPtrCasts(base) {
+		return false
+	}
+	ld, ok := g.Args[1].(*ir.Instr)
+	if !ok || ld.Op != ir.OpLoad {
+		return false
+	}
+	cell, ok := ld.Args[0].(*ir.Instr)
+	if !ok || cell.Op != ir.OpAlloca {
+		return false
+	}
+	ci := ev.cellDiscipline(cell)
+	if !ci.r4ok || !ev.initDominates(ci, ld) {
+		return false
+	}
+	for _, gd := range ev.cellGuards(cell) {
+		if gd.pred != ir.PredULT || !ev.guardLiveAt(cell, gd, ld) {
+			continue
+		}
+		for _, v := range ev.boundsTests() {
+			if ev.testCovers(v, mp, base, gd.n, ci.floor, b, i) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// boundsTests lists the blocks that end by branching on a
+// pchk.bounds.test computed in the same block; memoized.
+func (ev *elideVerifier) boundsTests() []*ir.BasicBlock {
+	if ev.tests != nil {
+		return *ev.tests
+	}
+	var vs []*ir.BasicBlock
+	for _, v := range ev.f.Blocks {
+		br := v.Terminator()
+		if br == nil || br.Op != ir.OpCondBr || len(br.Blocks) != 2 || br.Blocks[0] == br.Blocks[1] {
+			continue
+		}
+		call, ok := br.Args[0].(*ir.Instr)
+		if !ok || call.Parent() != v {
+			continue
+		}
+		if name, ok := call.IsIntrinsicCall(); ok && name == svaops.BoundsTest {
+			vs = append(vs, v)
+		}
+	}
+	ev.tests = &vs
+	return vs
+}
+
+// testCovers reports whether the bounds test ending block v vouches for
+// pool mp's object around base+[c, n-1] at (b, i), for some c <= floor.
+func (ev *elideVerifier) testCovers(v *ir.BasicBlock, mp int64, base, n ir.Value, floor int64, b *ir.BasicBlock, i int) bool {
+	br := v.Terminator()
+	call := br.Args[0].(*ir.Instr)
+	if tp, ok := vpoolConst(call); !ok || tp != mp || vstripPtrCasts(call.Args[1]) != vstripPtrCasts(base) {
+		return false
+	}
+	c, ok := call.Args[2].(*ir.ConstInt)
+	if !ok || c.SignedValue() < 0 || c.SignedValue() > floor {
+		return false
+	}
+	last, ok := call.Args[3].(*ir.Instr)
+	if !ok || last.Op != ir.OpSub || last.Args[0] != n {
+		return false
+	}
+	if one, ok := last.Args[1].(*ir.ConstInt); !ok || one.SignedValue() != 1 {
+		return false
+	}
+	// The c <u n guard: v's only entry is the true edge of
+	// `condbr (icmp ult c, n)`, so n-1 >= c does not wrap.
+	preds := ev.cfg.Preds[v]
+	if len(preds) != 1 {
+		return false
+	}
+	pbr := preds[0].Terminator()
+	if pbr == nil || pbr.Op != ir.OpCondBr || len(pbr.Blocks) != 2 || pbr.Blocks[0] != v || pbr.Blocks[1] == v {
+		return false
+	}
+	cc, ok := pbr.Args[0].(*ir.Instr)
+	if !ok || cc.Op != ir.OpICmp || cc.Pred != ir.PredULT || cc.Args[1] != n {
+		return false
+	}
+	if c2, ok := cc.Args[0].(*ir.ConstInt); !ok || c2.SignedValue() != c.SignedValue() {
+		return false
+	}
+	// The true edge dominates the check: every path to it passes v, and
+	// none reaches it from the false edge without passing v again.
+	if b == v || !ev.dom.Dominates(v, b) || vreachesAvoiding(ev.cfg, br.Blocks[1], b, v) {
+		return false
+	}
+	// Neither the test's answer nor its operands change on the way: no
+	// kill after the call, and n and base are not recomputed.
+	_, at, _ := vsitePos(call)
+	if ev.killIn(v, at+1, len(v.Instrs), mp) || !ev.pathsClean(v, b, i, mp) {
+		return false
+	}
+	inter := vinterAvoid(ev.cfg, v, b)
+	for _, x := range []ir.Value{n, base} {
+		if d, ok := x.(*ir.Instr); ok && (inter[d.Parent()] || d.Parent() == b) {
+			return false
+		}
+	}
+	return true
+}
+
+// vreachesAvoiding reports whether to is reachable from from along edges
+// that never enter avoid.
+func vreachesAvoiding(cfg *ir.CFG, from, to, avoid *ir.BasicBlock) bool {
+	if from == avoid {
+		return false
+	}
+	seen := map[*ir.BasicBlock]bool{from: true}
+	stack := []*ir.BasicBlock{from}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if x == to {
+			return true
+		}
+		for _, s := range cfg.Succs[x] {
+			if s != avoid && !seen[s] {
+				seen[s] = true
+				stack = append(stack, s)
+			}
+		}
+	}
+	return false
 }

@@ -36,20 +36,51 @@ const (
 	// accessed extent.  The checker's independent re-derivation must fail
 	// and reject the now-unjustified elision.
 	BugBogusRangeElision
+	// BugBogusVersioning: an R4 loop-versioned elision loses its proof —
+	// the range test's end is widened, the induction cell's start is
+	// lowered below the test's start, an elision moves onto the
+	// fallback loop outside the test's true edge, the step becomes +2,
+	// or a pchk.drop.obj lands in the fast loop.  Seed s applies
+	// corruption s%5 to versioned loop s/5.
+	BugBogusVersioning
 )
 
-var bugNames = [...]string{"aliasing", "edge", "th-claim", "split", "bogus-elision", "bogus-range-elision"}
+// bugNames is the one list of bug kinds: its order is the BugKind order.
+var bugNames = [...]string{"aliasing", "edge", "th-claim", "split", "bogus-elision",
+	"bogus-range-elision", "bogus-versioning"}
 
 func (k BugKind) String() string {
-	if int(k) < len(bugNames) {
+	if int(k) >= 0 && int(k) < len(bugNames) {
 		return bugNames[k]
 	}
 	return fmt.Sprintf("bug(%d)", int(k))
 }
 
+// BugKinds returns every bug kind, in declaration order.
+func BugKinds() []BugKind {
+	ks := make([]BugKind, len(bugNames))
+	for i := range ks {
+		ks[i] = BugKind(i)
+	}
+	return ks
+}
+
+// ParseBugKind maps a bug-kind name (as printed by String) to its kind.
+func ParseBugKind(name string) (BugKind, bool) {
+	for i, n := range bugNames {
+		if n == name {
+			return BugKind(i), true
+		}
+	}
+	return 0, false
+}
+
 // InjectBug plants the seed-th instance of the given bug kind into a
 // safety-compiled program, returning a description of what was corrupted.
-// ok is false when the program has no seed-th injection site of that kind.
+// ok is false when the program has no injection site of that kind.  Seeds
+// past the number of sites wrap around and re-plant an earlier corruption;
+// the description names the corrupted site exactly, so callers counting
+// distinct injections compare descriptions.
 func InjectBug(kind BugKind, seed int, descs []*ir.MetapoolDesc, mods ...*ir.Module) (string, bool) {
 	switch kind {
 	case BugAliasing:
@@ -64,17 +95,21 @@ func InjectBug(kind BugKind, seed int, descs []*ir.MetapoolDesc, mods ...*ir.Mod
 		return injectBogusElision(seed, mods)
 	case BugBogusRangeElision:
 		return injectBogusRangeElision(seed, mods)
+	case BugBogusVersioning:
+		return injectBogusVersioning(seed, mods)
 	}
 	return "", false
 }
 
-// compiledInstrs yields every instruction of safety-compiled functions.
+// compiledInstrs yields every instruction of safety-compiled functions,
+// numbered afresh so descriptions name each site unambiguously.
 func compiledInstrs(mods []*ir.Module, visit func(f *ir.Function, in *ir.Instr) bool) {
 	for _, m := range mods {
 		for _, f := range m.Funcs {
 			if !f.SafetyCompiled {
 				continue
 			}
+			f.Renumber()
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
 					if !visit(f, in) {
@@ -84,6 +119,15 @@ func compiledInstrs(mods []*ir.Module, visit func(f *ir.Function, in *ir.Instr) 
 			}
 		}
 	}
+}
+
+// pick returns the seed-th element of sites, wrapping around.
+func pick[T any](sites []T, seed int) (T, bool) {
+	if seed < 0 || len(sites) == 0 {
+		var zero T
+		return zero, false
+	}
+	return sites[seed%len(sites)], true
 }
 
 func otherPool(descs []*ir.MetapoolDesc, not string) string {
@@ -103,15 +147,16 @@ func injectAliasing(seed int, descs []*ir.MetapoolDesc, mods []*ir.Module) (stri
 		}
 		return true
 	})
-	if len(sites) == 0 {
+	in, ok := pick(sites, seed)
+	if !ok {
 		return "", false
 	}
-	in := sites[seed%len(sites)]
 	wrong := otherPool(descs, in.Pool)
 	if wrong == "" {
 		return "", false
 	}
-	desc := fmt.Sprintf("reannotated %s result from %s to %s", in.Op, in.Pool, wrong)
+	desc := fmt.Sprintf("reannotated %s result %s in @%s from %s to %s",
+		in.Op, in.Ident(), in.Parent().Func.Nm, in.Pool, wrong)
 	in.Pool = wrong
 	return desc, true
 }
@@ -130,10 +175,10 @@ func injectEdge(seed int, descs []*ir.MetapoolDesc, mods []*ir.Module) (string, 
 		}
 		return true
 	})
-	if len(pools) == 0 {
+	name, ok := pick(pools, seed)
+	if !ok {
 		return "", false
 	}
-	name := pools[seed%len(pools)]
 	for _, d := range descs {
 		if d.Name == name {
 			wrong := otherPool(descs, d.Pointee)
@@ -171,10 +216,10 @@ func injectTHClaim(seed int, descs []*ir.MetapoolDesc, mods []*ir.Module) (strin
 			candidates = append(candidates, d)
 		}
 	}
-	if len(candidates) == 0 {
+	d, ok := pick(candidates, seed)
+	if !ok {
 		return "", false
 	}
-	d := candidates[seed%len(candidates)]
 	old := d.ElemType
 	wrong := ir.StructOf(ir.I8, ir.I64, ir.I8) // a type no kernel object has
 	if old == wrong {
@@ -194,10 +239,10 @@ func injectSplit(seed int, descs []*ir.MetapoolDesc, mods []*ir.Module) (string,
 		}
 		return true
 	})
-	if len(sites) == 0 {
+	in, ok := pick(sites, seed)
+	if !ok {
 		return "", false
 	}
-	in := sites[seed%len(sites)]
 	clone := *descsByName(descs, in.Pool)
 	clone.Name = in.Pool + ".split"
 	// The caller owns descs; the split pool is described but the edge
@@ -205,7 +250,8 @@ func injectSplit(seed int, descs []*ir.MetapoolDesc, mods []*ir.Module) (string,
 	mods[0].Metapools = append(mods[0].Metapools, &clone)
 	old := in.Pool
 	in.Pool = clone.Name
-	return fmt.Sprintf("split pool %s: load result moved to %s", old, clone.Name), true
+	return fmt.Sprintf("split pool %s: load result %s in @%s moved to %s",
+		old, in.Ident(), in.Parent().Func.Nm, clone.Name), true
 }
 
 func injectBogusElision(seed int, mods []*ir.Module) (string, bool) {
@@ -221,31 +267,25 @@ func injectBogusElision(seed int, mods []*ir.Module) (string, bool) {
 	}
 	var sites []site
 	for _, m := range mods {
-		for _, f := range m.Funcs {
-			if !f.SafetyCompiled {
-				continue
+		compiledInstrs([]*ir.Module{m}, func(f *ir.Function, in *ir.Instr) bool {
+			if name, ok := in.IsIntrinsicCall(); ok &&
+				(name == svaops.BoundsCheck || name == svaops.LSCheck) {
+				sites = append(sites, site{m, in, f})
 			}
-			for _, b := range f.Blocks {
-				for _, in := range b.Instrs {
-					if name, ok := in.IsIntrinsicCall(); ok &&
-						(name == svaops.BoundsCheck || name == svaops.LSCheck) {
-						sites = append(sites, site{m, in, f})
-					}
-				}
-			}
-		}
+			return true
+		})
 	}
-	if len(sites) == 0 {
+	s, ok := pick(sites, seed)
+	if !ok {
 		return "", false
 	}
-	s := sites[seed%len(sites)]
 	name, _ := s.in.IsIntrinsicCall()
 	elide := svaops.ElideBounds
 	if name == svaops.LSCheck {
 		elide = svaops.ElideLS
 	}
 	s.in.Callee = svaops.Get(s.m, elide)
-	return fmt.Sprintf("rewrote unjustified %s in @%s to %s", name, s.f.Nm, elide), true
+	return fmt.Sprintf("rewrote unjustified %s %s in @%s to %s", name, s.in.Ident(), s.f.Nm, elide), true
 }
 
 // newReplayVerifier builds a fresh elideVerifier for f (fresh value-range
@@ -265,9 +305,9 @@ func newReplayVerifier(f *ir.Function) *elideVerifier {
 }
 
 // replayElisions walks f the way checkElisions does, calling visit for each
-// pchk.elide.bounds with the verifier, its proof status under each rule, and
-// the site position.  Returning false stops the walk.
-func replayElisions(ev *elideVerifier, visit func(in *ir.Instr, r1, r2, r3 bool) bool) {
+// pchk.elide.bounds with the verifier and its proof status under each rule.
+// Returning false stops the walk.
+func replayElisions(ev *elideVerifier, visit func(in *ir.Instr, r1, r2, r3, r4 bool) bool) {
 	for _, b := range ev.cfg.RPO {
 		for i, in := range b.Instrs {
 			name, ok := in.IsIntrinsicCall()
@@ -288,10 +328,11 @@ func replayElisions(ev *elideVerifier, visit func(in *ir.Instr, r1, r2, r3 bool)
 				r1 := keyed && ev.provenByEvidence(key, pool, b, i)
 				r2 := ev.gepGuardSafe(in)
 				r3 := ev.gepRangeSafe(in)
-				if !visit(in, r1, r2, r3) {
+				r4 := ev.gepVersionSafe(in, b, i)
+				if !visit(in, r1, r2, r3, r4) {
 					return
 				}
-				if keyed && (r1 || r2 || r3) {
+				if keyed && (r1 || r2 || r3 || r4) {
 					ev.evidence[key] = append(ev.evidence[key], elideSite{b, i})
 				}
 			case svaops.ElideLS:
@@ -367,8 +408,8 @@ func injectBogusRangeElision(seed int, mods []*ir.Module) (string, bool) {
 				continue
 			}
 			ev := newReplayVerifier(f)
-			replayElisions(ev, func(in *ir.Instr, r1, r2, r3 bool) bool {
-				if r1 || r2 || !r3 {
+			replayElisions(ev, func(in *ir.Instr, r1, r2, r3, r4 bool) bool {
+				if r1 || r2 || r4 || !r3 {
 					return true
 				}
 				for _, s := range ev.rangeProofConsts(in) {
@@ -382,32 +423,50 @@ func injectBogusRangeElision(seed int, mods []*ir.Module) (string, bool) {
 		return "", false
 	}
 	// Not every constant is load-bearing (a proof can hold through several
-	// facts): corrupt, re-derive with a fresh verifier, and keep the first
-	// corruption the checker genuinely cannot re-prove.
-	for t := 0; t < len(cands); t++ {
-		c := cands[(seed+t)%len(cands)]
-		old := c.host.Args[c.argi].(*ir.ConstInt)
-		bits := old.Type().Bits()
-		nv := vMaxS(bits)
+	// facts): corrupt each distinct constant, re-derive with a fresh
+	// verifier, and keep the corruptions the checker genuinely cannot
+	// re-prove; the seed picks one of those.
+	type slot struct {
+		host *ir.Instr
+		argi int
+	}
+	corrupt := func(c cand) (old *ir.ConstInt, nv int64) {
+		old = c.host.Args[c.argi].(*ir.ConstInt)
+		nv = vMaxS(old.Type().Bits())
 		if old.SignedValue() == nv {
-			nv = vMinS(bits)
+			nv = vMinS(old.Type().Bits())
 		}
 		c.host.Args[c.argi] = ir.NewInt(old.Type(), nv)
+		return old, nv
+	}
+	var bearing []cand
+	tried := map[slot]bool{}
+	for _, c := range cands {
+		if tried[slot{c.host, c.argi}] {
+			continue
+		}
+		tried[slot{c.host, c.argi}] = true
+		old, _ := corrupt(c)
 		broken := false
-		replayElisions(newReplayVerifier(c.f), func(in *ir.Instr, r1, r2, r3 bool) bool {
+		replayElisions(newReplayVerifier(c.f), func(in *ir.Instr, r1, r2, r3, r4 bool) bool {
 			if in != c.target {
 				return true
 			}
-			broken = !r1 && !r2 && !r3
+			broken = !r1 && !r2 && !r3 && !r4
 			return false
 		})
-		if broken {
-			return fmt.Sprintf("corrupted range witness in @%s: %s constant %d -> %d under elided check on %s",
-				c.f.Nm, c.host.Op, old.SignedValue(), nv, c.target.Args[2].Ident()), true
-		}
 		c.host.Args[c.argi] = old
+		if broken {
+			bearing = append(bearing, c)
+		}
 	}
-	return "", false
+	c, ok := pick(bearing, seed)
+	if !ok {
+		return "", false
+	}
+	old, nv := corrupt(c)
+	return fmt.Sprintf("corrupted range witness in @%s: %s constant %d -> %d under elided check on %s",
+		c.f.Nm, c.host.Op, old.SignedValue(), nv, c.target.Args[2].Ident()), true
 }
 
 func descsByName(descs []*ir.MetapoolDesc, name string) *ir.MetapoolDesc {
@@ -417,4 +476,158 @@ func descsByName(descs []*ir.MetapoolDesc, name string) *ir.MetapoolDesc {
 		}
 	}
 	return &ir.MetapoolDesc{Name: name}
+}
+
+// versionedLoop is one R4-versioned loop as the injector sees it: the
+// range test and one of the fast copy's elided checks.
+type versionedLoop struct {
+	m     *ir.Module
+	f     *ir.Function
+	ev    *elideVerifier
+	test  *ir.Instr // pchk.bounds.test call
+	fast  *ir.BasicBlock
+	elide *ir.Instr // an elided check under the test's true edge
+	cell  *ir.Instr // its induction cell
+}
+
+// versionedLoops finds every range test with an elided check in its fast
+// copy, in function order.
+func versionedLoops(mods []*ir.Module) []versionedLoop {
+	var out []versionedLoop
+	for _, m := range mods {
+		for _, f := range m.Funcs {
+			if !f.SafetyCompiled {
+				continue
+			}
+			f.Renumber()
+			ev := newReplayVerifier(f)
+			for _, v := range ev.boundsTests() {
+				br := v.Terminator()
+				l := versionedLoop{m: m, f: f, ev: ev, test: br.Args[0].(*ir.Instr), fast: br.Blocks[0]}
+				for _, b := range f.Blocks {
+					if l.elide != nil || !ev.dom.Dominates(l.fast, b) {
+						continue
+					}
+					for _, in := range b.Instrs {
+						if name, ok := in.IsIntrinsicCall(); ok && name == svaops.ElideBounds && indexCell(in) != nil {
+							l.elide, l.cell = in, indexCell(in)
+							break
+						}
+					}
+				}
+				if l.elide != nil {
+					out = append(out, l)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// injectBogusVersioning applies corruption seed%5 to versioned loop
+// seed/5 (wrapping), each of which removes a premise of the verifier's R4
+// proof.
+func injectBogusVersioning(seed int, mods []*ir.Module) (string, bool) {
+	if seed < 0 {
+		return "", false
+	}
+	l, ok := pick(versionedLoops(mods), seed/5)
+	if !ok {
+		return "", false
+	}
+	at := fmt.Sprintf("@%s (test %s)", l.f.Nm, l.test.Ident())
+	c := l.test.Args[2].(*ir.ConstInt)
+	switch seed % 5 {
+	case 0:
+		// The test's end widened from n-1 to n.
+		last, okl := l.test.Args[3].(*ir.Instr)
+		if !okl || len(last.Args) != 2 {
+			return "", false
+		}
+		l.test.Args[3] = last.Args[0]
+		return "widened the range test's end from n-1 to n in " + at, true
+	case 1:
+		// The loop start lowered below the test's start.
+		for _, b := range l.f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op != ir.OpStore || in.Args[1] != ir.Value(l.cell) {
+					continue
+				}
+				if k, okk := in.Args[0].(*ir.ConstInt); okk && k.SignedValue() == c.SignedValue() {
+					in.Args[0] = ir.I64c(c.SignedValue() - 1)
+					return fmt.Sprintf("lowered the induction start %d -> %d below the range test's in %s",
+						c.SignedValue(), c.SignedValue()-1, at), true
+				}
+			}
+		}
+	case 2:
+		// An elision moved onto the fallback loop, outside the true edge.
+		for _, b := range l.f.Blocks {
+			if l.ev.dom.Dominates(l.fast, b) {
+				continue
+			}
+			for _, in := range b.Instrs {
+				if name, okc := in.IsIntrinsicCall(); okc && name == svaops.BoundsCheck &&
+					in.Args[1] == l.elide.Args[1] && indexCell(in) == l.cell {
+					in.Callee = svaops.Get(l.m, svaops.ElideBounds)
+					return fmt.Sprintf("moved the elision of %s onto fallback check %s in %s",
+						l.elide.Args[2].Ident(), in.Args[2].Ident(), at), true
+				}
+			}
+		}
+	case 3:
+		// The fast loop's step changed from +1 to +2.
+		for _, b := range l.f.Blocks {
+			if !l.ev.dom.Dominates(l.fast, b) {
+				continue
+			}
+			for _, in := range b.Instrs {
+				if in.Op != ir.OpStore || in.Args[1] != ir.Value(l.cell) {
+					continue
+				}
+				if add, oka := in.Args[0].(*ir.Instr); oka && add.Op == ir.OpAdd {
+					for i, a := range add.Args {
+						if k, okk := a.(*ir.ConstInt); okk && k.SignedValue() == 1 {
+							add.Args[i] = ir.I64c(2)
+							return "changed the fast loop's step from +1 to +2 in " + at, true
+						}
+					}
+				}
+			}
+		}
+	case 4:
+		// A pool mutation inside the fast loop.
+		blk := l.elide.Parent()
+		_, i, _ := vsitePos(l.elide)
+		drop := &ir.Instr{Op: ir.OpCall, Typ: ir.Void, Callee: svaops.Get(l.m, svaops.ObjDrop),
+			Args: []ir.Value{l.elide.Args[0], l.elide.Args[1]}}
+		old := blk.Instrs
+		blk.Instrs = nil
+		for k, in := range old {
+			if k == i {
+				blk.Append(drop)
+			}
+			blk.Append(in)
+		}
+		return fmt.Sprintf("inserted pchk.drop.obj before elided check %s in the fast loop of %s",
+			l.elide.Args[2].Ident(), at), true
+	}
+	return "", false
+}
+
+// indexCell returns the alloca whose load indexes check's derived pointer
+// (a one-index GEP), or nil.
+func indexCell(check *ir.Instr) *ir.Instr {
+	gep, ok := vstripPtrCasts(check.Args[2]).(*ir.Instr)
+	if !ok || gep.Op != ir.OpGEP || len(gep.Args) != 2 {
+		return nil
+	}
+	ld, ok := gep.Args[1].(*ir.Instr)
+	if !ok || ld.Op != ir.OpLoad {
+		return nil
+	}
+	if a, ok := ld.Args[0].(*ir.Instr); ok && a.Op == ir.OpAlloca {
+		return a
+	}
+	return nil
 }

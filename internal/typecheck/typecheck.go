@@ -145,7 +145,7 @@ func (c *Checker) checkFunc(f *ir.Function) {
 				case svaops.ObjRegister, svaops.ObjRegisterStack:
 					c.checkMPConst(f, in, in.Args[1])
 					c.checkTHRegistration(f, in)
-				case svaops.ObjDrop:
+				case svaops.ObjDrop, svaops.BoundsTest:
 					c.checkMPConst(f, in, in.Args[1])
 				}
 			}

@@ -112,7 +112,7 @@ func TestContinuationReplayable(t *testing.T) {
 
 	v := New(hw.NewMachine(0, 16), ConfigSVAGCC)
 	v.RegisterIntrinsic("llva.save.integer", func(v *VM, a []uint64) (IntrinsicResult, error) {
-		v.SaveIntegerState(a[0], -1)
+		v.SaveIntegerState(a[0])
 		return IntrinsicResult{}, nil
 	})
 	if err := v.LoadModule(m, false); err != nil {

@@ -112,6 +112,15 @@ func (vm *VM) installCoreIntrinsics() {
 		pool.NoteElidedLSCPU(vm.cpuID)
 		return IntrinsicResult{}, nil
 	})
+	reg(svaops.BoundsTest, func(vm *VM, a []uint64) (IntrinsicResult, error) {
+		vm.Counters.ChecksBounds++
+		vm.CPU.Cycles += cycBounds
+		pool, err := vm.Pools.PoolChecked(int(a[0]))
+		if err != nil || !pool.BoundsTestCPU(vm.cpuID, a[1], a[2], a[3]) {
+			return IntrinsicResult{Value: 0}, nil
+		}
+		return IntrinsicResult{Value: 1}, nil
+	})
 	reg(svaops.GetBoundsLo, func(vm *VM, a []uint64) (IntrinsicResult, error) {
 		pool, err := vm.Pools.PoolChecked(int(a[0]))
 		if err != nil {

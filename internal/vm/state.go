@@ -41,12 +41,11 @@ func (e *Exec) Depth() int { return len(e.frames) }
 // SaveIntegerState snapshots the current continuation under the guest
 // buffer address (llva.save.integer).  Execution later resumes at the
 // instruction after the save (the pc has already advanced past the call).
-func (vm *VM) SaveIntegerState(buf uint64, retSlot int) {
+func (vm *VM) SaveIntegerState(buf uint64) {
 	c := &Continuation{ex: *vm.cur.clone(), retSlot: -1}
 	vm.stateMu.Lock()
 	vm.savedStates[buf] = c
 	vm.stateMu.Unlock()
-	_ = retSlot
 	// Mirror the live CPU control registers into the machine model.
 	vm.CPU.Int.SP = vm.cur.sp
 	vm.CPU.Int.Priv = vm.cur.priv
@@ -493,7 +492,3 @@ func (vm *VM) ExecState(icp, fnAddr, arg, ustackTop uint64) error {
 	}
 	return nil
 }
-
-// Continuation retSlot tracks which register of the interrupted frame
-// receives the pending trap result (for SetSavedRetval).
-func (c *Continuation) RetSlot() int { return c.retSlot }
