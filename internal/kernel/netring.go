@@ -68,7 +68,8 @@ func (k *K) buildNetRing() {
 	// Ring the Rx doorbell, serve up to budget completed request frames
 	// (checksum the payload, stamp the sum into the reply header, post
 	// the same buffer on the Tx ring), ring the Tx doorbell, then repost
-	// transmitted buffers as fresh Rx capacity.  Returns frames served.
+	// transmitted buffers into the Rx slots served so far.  Returns
+	// frames served.
 	k.syscall("sys_netserve", SubNetDrv)
 	budget := b.Param(1)
 	q := b.And(k.op(svaops.CPUID), c64(MaxCPUs-1))
@@ -136,7 +137,19 @@ func (k *K) buildNetRing() {
 	tcons := k.op(svaops.NetReap, txRing)
 	treapP := b.Index(treapG, q)
 	tr := b.Alloca(ir.I64, "treap")
-	b.Store(b.Load(treapP), tr)
+	// Repost only into Rx slots already served: the Rx producer may run
+	// at most one ring ahead of netring_seen, so room = seen + slots -
+	// prod.  The device's own full test (against its consumer index)
+	// would let a repost overwrite a completed but unserved descriptor.
+	// Without the pump every pending Tx completion is the reply to a
+	// served frame and fits the room; the pump's extra transmissions are
+	// the oldest pending ones, and those past the room are retired
+	// unreposted (so the cursor never trails a reused Tx descriptor).
+	rxProd := b.Load(b.Bitcast(b.Index(area, rxBase), ir.PointerTo(ir.I64)))
+	room := b.Sub(b.Add(b.Load(seen), c64(NetRingSlots)), rxProd)
+	tr0 := b.Load(treapP)
+	over := b.ICmp(ir.PredUGT, b.Sub(tcons, tr0), room)
+	b.Store(b.Select(over, b.Sub(tcons, room), tr0), tr)
 	rxFull := b.Alloca(ir.I64, "rxfull")
 	b.Store(c64(0), rxFull)
 	b.While(func() ir.Value {

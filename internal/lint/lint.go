@@ -136,7 +136,7 @@ func (c *checker) certainTrap() {
 	for _, b := range c.f.Blocks {
 		for _, in := range b.Instrs {
 			name, ok := in.IsIntrinsicCall()
-			if !ok || name != svaops.BoundsCheck || !c.fr.RangeReachable(b) {
+			if !ok || (name != svaops.BoundsCheck && name != svaops.ExactCheck) || !c.fr.RangeReachable(b) {
 				continue
 			}
 			g, okg := stripCasts(in.Args[2]).(*ir.Instr)

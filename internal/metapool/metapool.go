@@ -777,6 +777,26 @@ func (p *Pool) BoundsTestCPU(cpu int, src, lo, hi uint64) bool {
 	return ok && !p.quarantined.Load() && first >= r.Start && last <= r.End()
 }
 
+// ExactCheckCPU is the pchk.exact check behind elision rule R5: base is a
+// global the compiler registered in this pool with exactly size bytes, so
+// [base, base+size) is the object BoundsCheckCPU(base, derived) would find,
+// and the range compare alone decides the check.  It counts as a bounds
+// check, keeps the fail-closed quarantine gate, and on failure raises the
+// violation BoundsCheckCPU raises for that object.
+func (p *Pool) ExactCheckCPU(cpu int, base, derived, size uint64) error {
+	st := p.stats(cpu)
+	st.BoundsChecks++
+	if p.quarantined.Load() {
+		return p.corruptionErr(st, base)
+	}
+	if derived >= base && derived-base <= size {
+		return nil
+	}
+	st.Violations++
+	return &Violation{Kind: BoundsViolation, Pool: p.Name, Addr: derived,
+		Msg: fmt.Sprintf("indexing from %#x escapes object %v", base, splay.Range{Start: base, Len: size})}
+}
+
 // LoadStoreCheckCPU verifies that a pointer used by a load or store
 // targets a registered object of this pool (pchk.lscheck).  It is only
 // required for non-TH pools; for incomplete pools it is disabled by the

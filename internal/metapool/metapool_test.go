@@ -2,6 +2,7 @@ package metapool
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -362,5 +363,44 @@ func TestBoundsTestMatchesBoundsCheck(t *testing.T) {
 	p.Quarantine()
 	if p.BoundsTestCPU(0, 0x1000, 0, 63) {
 		t.Error("quarantined pool answered true")
+	}
+}
+
+// TestExactCheckMatchesBoundsCheck pins rule R5's run-time contract: for
+// an object registered at base with size bytes, ExactCheckCPU(base,
+// derived, size) passes, fails and reports exactly as
+// BoundsCheckCPU(base, derived) does — same violation record, same
+// counters — at the edges, in a flush neighbour, below the object and
+// far away, and fails closed on a quarantined pool.
+func TestExactCheckMatchesBoundsCheck(t *testing.T) {
+	pools := [2]*Pool{}
+	for i := range pools {
+		pools[i] = NewPool("MP7", true, true, 0)
+		for _, r := range [][2]uint64{{0x1000, 64}, {0x1040, 16}, {0xfc0, 64}} {
+			if err := pools[i].RegisterCPU(0, r[0], r[1], 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	exact, lookup := pools[0], pools[1]
+	for _, d := range []uint64{0x1000, 0x1008, 0x103f, 0x1040, 0x1041, 0x104f, 0xfff, 0xfc0, 0, 1 << 63} {
+		e := exact.ExactCheckCPU(0, 0x1000, d, 64)
+		l := lookup.BoundsCheckCPU(0, 0x1000, d)
+		if !reflect.DeepEqual(e, l) {
+			t.Errorf("derived %#x: exact check %v, bounds check %v", d, e, l)
+		}
+	}
+	if e, l := exact.Stats, lookup.Stats; e.BoundsChecks != l.BoundsChecks || e.Violations != l.Violations {
+		t.Errorf("counters differ: exact %d checks %d violations, lookup %d checks %d violations",
+			e.BoundsChecks, e.Violations, l.BoundsChecks, l.Violations)
+	}
+	if exact.Stats.PageHits+exact.Stats.CacheMisses != 0 {
+		t.Errorf("exact checks did %d lookups", exact.Stats.PageHits+exact.Stats.CacheMisses)
+	}
+	exact.Quarantine()
+	lookup.Quarantine()
+	e, l := exact.ExactCheckCPU(0, 0x1000, 0x1008, 64), lookup.BoundsCheckCPU(0, 0x1000, 0x1008)
+	if e == nil || !reflect.DeepEqual(e, l) {
+		t.Errorf("quarantined pool: exact check %v, bounds check %v", e, l)
 	}
 }

@@ -395,7 +395,7 @@ func (a *Analysis) constrainIntrinsic(f *ir.Function, in *ir.Instr, name string)
 		}
 	case svaops.ObjRegister, svaops.ObjRegisterStack, svaops.ObjDrop,
 		svaops.BoundsCheck, svaops.LSCheck, svaops.ICCheck,
-		svaops.GetBoundsLo, svaops.GetBoundsHi, svaops.BoundsTest, svaops.PseudoAlloc,
+		svaops.GetBoundsLo, svaops.GetBoundsHi, svaops.BoundsTest, svaops.ExactCheck, svaops.PseudoAlloc,
 		svaops.ElideBounds, svaops.ElideLS:
 		// Check operations carry no points-to semantics.
 	default:

@@ -58,4 +58,21 @@ func TestProfileCoverage(t *testing.T) {
 	if len(prof.Functions) == 0 || len(prof.Ops) == 0 {
 		t.Errorf("profile empty: %d functions, %d ops", len(prof.Functions), len(prof.Ops))
 	}
+	// Per-site attribution covers every check cycle: the sites sum to
+	// the check class, site by site the executions match the op counts.
+	var classCyc, classCount, siteCyc, siteCount uint64
+	for _, op := range prof.Ops {
+		if op.Class == "check" {
+			classCyc += op.Cycles
+			classCount += op.Count
+		}
+	}
+	for _, s := range prof.Sites {
+		siteCyc += s.Cycles
+		siteCount += s.Count
+	}
+	if siteCyc != classCyc || siteCount != classCount || siteCyc == 0 {
+		t.Errorf("check sites hold %d cycles in %d executions, check class %d cycles in %d",
+			siteCyc, siteCount, classCyc, classCount)
+	}
 }

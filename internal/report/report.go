@@ -551,15 +551,20 @@ func measureRegPairCycles(pairs uint64) (uint64, error) {
 
 // ChecksTable drives the Table 7 latency battery on the safety-checked
 // configuration and renders the run-time check and lookup statistics from
-// the system's unified telemetry snapshot.
+// the system's unified telemetry snapshot, followed by the per-site check
+// attribution of the profiler.
 func ChecksTable(r *hbench.Runner, scale Scale) (string, error) {
+	// The profiler is invisible to virtual time, so attaching it for the
+	// per-site section leaves every count above it unchanged.
+	sys := r.Systems[vm.ConfigSafe]
+	prof := sys.VM.EnableProfiling()
+	defer sys.VM.DisableProfiling()
 	for _, op := range hbench.LatencyOps {
 		if _, err := r.Measure(vm.ConfigSafe, op.Prog, scale.apply(op.Iters)); err != nil {
 			return "", err
 		}
 	}
-	sys := r.Systems[vm.ConfigSafe]
-	return FormatChecks(sys.VM.Telemetry.Snapshot()), nil
+	return FormatChecks(sys.VM.Telemetry.Snapshot()) + "\n" + prof.Snapshot().FormatSites(), nil
 }
 
 // FormatChecks renders a unified telemetry snapshot as the -table=checks
@@ -608,8 +613,8 @@ func FormatChecks(s telemetry.Snapshot) string {
 			ratioPct(m.BoundsChecksElided, m.BoundsChecksInserted),
 			m.LSChecksElided, m.LSChecksInserted,
 			ratioPct(m.LSChecksElided, m.LSChecksInserted))
-		fmt.Fprintf(&sb, "elision by rule: R1 dominating-check %d, R2 guarded-loop %d, R3 value-range %d, R4 loop-versioned %d\n",
-			m.BoundsElidedR1, m.BoundsElidedR2, m.BoundsElidedR3, m.BoundsElidedR4)
+		fmt.Fprintf(&sb, "elision by rule: R1 dominating-check %d, R2 guarded-loop %d, R3 value-range %d, R4 loop-versioned %d, R5 exact %d\n",
+			m.BoundsElidedR1, m.BoundsElidedR2, m.BoundsElidedR3, m.BoundsElidedR4, m.BoundsExactR5)
 	}
 	fmt.Fprintf(&sb, "dynamic elision: bounds %.1f%% of would-be executions skipped, lscheck %.1f%%\n",
 		ratioPct(int(c.ElidedBounds), int(c.ElidedBounds+c.ChecksBounds)),

@@ -90,7 +90,7 @@ func TestTCBTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := "35/35 detected, 35/35 seeds injected"; !strings.Contains(s, want) {
+	if want := "40/40 detected, 40/40 seeds injected"; !strings.Contains(s, want) {
 		t.Errorf("TCB table lacks %q:\n%s", want, s)
 	}
 	t.Log("\n" + s)
@@ -117,15 +117,23 @@ func TestPaperShapeClaims(t *testing.T) {
 			t.Errorf("%s: safe %.1f%% < gcc %.1f%%", row.Name, row.OverSafe, row.OverGCC)
 		}
 	}
-	// 2. Checks hit computation-heavy syscalls hardest (§7.1.2): pipe and
-	// fork overheads dwarf getpid's.
-	if byName["pipe"].OverSafe < 2*byName["getpid"].OverSafe {
-		t.Errorf("pipe %.1f%% not >> getpid %.1f%%",
-			byName["pipe"].OverSafe, byName["getpid"].OverSafe)
+	// 2. Checks hit computation-heavy syscalls hardest (§7.1.2: "run-time
+	// checks tend to add the most overhead to system calls that perform
+	// substantially more computation").  What the checks add is the Safe
+	// column over the SVA-gcc column, which pays the same SVA-OS trap
+	// cost: for pipe and fork it must be at least twice what the checks
+	// add to any trivial syscall.
+	checkCost := func(r BenchRow) float64 { return r.OverSafe - r.OverGCC }
+	trivial, worst := 0.0, ""
+	for _, n := range []string{"getpid", "getrusage", "gettimeofday", "sbrk", "sigaction"} {
+		if c := checkCost(byName[n]); c > trivial {
+			trivial, worst = c, n
+		}
 	}
-	if byName["fork"].OverSafe < 2*byName["getpid"].OverSafe {
-		t.Errorf("fork %.1f%% not >> getpid %.1f%%",
-			byName["fork"].OverSafe, byName["getpid"].OverSafe)
+	for _, n := range []string{"pipe", "fork"} {
+		if c := checkCost(byName[n]); c < 2*trivial || c <= 0 {
+			t.Errorf("checks add %.1fpp to %s, not >> the %.1fpp they add to %s", c, n, trivial, worst)
+		}
 	}
 	// 3. Trivial syscalls pay mostly the SVA-OS trap cost: for getpid the
 	// GCC and Safe columns are close.

@@ -366,7 +366,7 @@ func instrKills(in *ir.Instr, pool int64) bool {
 		}
 		return true
 	case svaops.BoundsCheck, svaops.LSCheck, svaops.ICCheck,
-		svaops.GetBoundsLo, svaops.GetBoundsHi, svaops.BoundsTest,
+		svaops.GetBoundsLo, svaops.GetBoundsHi, svaops.BoundsTest, svaops.ExactCheck,
 		svaops.ElideBounds, svaops.ElideLS,
 		svaops.Memcpy, svaops.Memmove, svaops.Memset, svaops.Memcmp:
 		// Checks only consult the object sets; the sva.mem* operations
@@ -1019,4 +1019,54 @@ func naturalLoop(cfg *ir.CFG, dom *ir.DomTree, h *ir.BasicBlock) map[*ir.BasicBl
 func definedIn(v ir.Value, blocks map[*ir.BasicBlock]bool) bool {
 	in, ok := v.(*ir.Instr)
 	return ok && blocks[in.Parent()]
+}
+
+// ---------------------------------------------------------------------------
+// Rule R5: exact checks for global-based bounds checks.
+//
+// A bounds check whose source pointer, after pointer casts, is a global
+// that registerGlobals registered in the check's own pool needs no
+// metapool lookup: the object containing the source is the global itself,
+// [g, g+sizeof g).  The check becomes pchk.exact(pool, src, derived, size),
+// an inline range compare — SAFECode's exactcheck (Dhurjati and Adve, ICSE
+// 2006).  The verifier re-derives the global, its pool and its size.
+
+// exactChecks applies rule R5 to every executed bounds check of m,
+// returning the number of checks retargeted.  globals maps each registered
+// global to its pool.
+func exactChecks(m *ir.Module, globals map[*ir.Global]int) (n int) {
+	if len(globals) == 0 {
+		return 0
+	}
+	var layout ir.Layout
+	for _, f := range m.Funcs {
+		if !f.SafetyCompiled {
+			continue
+		}
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if name, ok := in.IsIntrinsicCall(); !ok || name != svaops.BoundsCheck {
+					continue
+				}
+				g, ok := stripPtrCasts(in.Args[1]).(*ir.Global)
+				if !ok {
+					continue
+				}
+				mp, ok := poolConst(in)
+				if pool, reg := globals[g]; !ok || !reg || int64(pool) != mp {
+					continue
+				}
+				// A zero-size global registers an empty range that no
+				// lookup finds; leave its check to the lookup.
+				size := layout.Size(g.ValueType)
+				if size <= 0 {
+					continue
+				}
+				in.Callee = svaops.Get(m, svaops.ExactCheck)
+				in.Args = []ir.Value{in.Args[0], in.Args[1], in.Args[2], ir.I64c(size)}
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -9,6 +9,7 @@ import (
 	"sva/internal/hw"
 	"sva/internal/ir"
 	"sva/internal/metapool"
+	"sva/internal/svaops"
 	"sva/internal/svaos"
 	"sva/internal/typecheck"
 	"sva/internal/vm"
@@ -253,4 +254,130 @@ func TestLoopVersioningEquivalenceQuick(t *testing.T) {
 		t.Error("no run took the versioned copy: the property tested only the fallback")
 	}
 	t.Logf("%d of %d runs took the versioned copy", fast, cfg.MaxCount)
+}
+
+// buildExactModule emits global-indexed accesses, rule R5's shape:
+//
+//	init():        (entry: the global registrations land here)
+//	prog(i, n):
+//	  tab[i] = 7                       // tab is [size x i64]
+//	  memset(&tab, 0, n)               // span check from tab
+//	  return rec.arr[i]                // rec is {i64, [size x i32]}
+//
+// The globals lo and hi sit around tab, so wild indices land in
+// registered neighbours as well as in unregistered memory.
+func buildExactModule(size int64) *ir.Module {
+	m := ir.NewModule("quickr5")
+	addTestAllocator(m)
+	lo := m.NewGlobal("lo", ir.ArrayOf(4, ir.I64), nil)
+	tab := m.NewGlobal("tab", ir.ArrayOf(int(size), ir.I64), nil)
+	hi := m.NewGlobal("hi", ir.ArrayOf(4, ir.I64), nil)
+	rec := m.NewGlobal("rec", ir.StructOf(ir.I64, ir.ArrayOf(int(size), ir.I32)), nil)
+	b := ir.NewBuilder(m)
+	b.NewFunc("init", ir.FuncOf(ir.Void, nil, false))
+	b.Store(ir.I64c(1), b.Index(lo, ir.I64c(0)))
+	b.Store(ir.I64c(2), b.Index(hi, ir.I64c(0)))
+	b.Ret(nil)
+	b.NewFunc("prog", ir.FuncOf(ir.I64, []*ir.Type{ir.I64, ir.I64}, false), "i", "n")
+	b.Store(ir.I64c(7), b.Index(tab, b.Param(0)))
+	b.Call(svaops.Get(m, svaops.Memset), b.Bitcast(tab, svaops.BytePtr), ir.I64c(0), b.Param(1))
+	b.Ret(b.ZExt(b.Load(b.GEP(rec, ir.I32c(0), ir.I32c(1), b.Param(0))), ir.I64))
+	return m
+}
+
+// runExactQuick compiles m with R5 toggled, has the verifier re-derive
+// the program, runs init() and then prog(i, n), and returns the result,
+// the violation records, the bounds checks executed and the run error.
+func runExactQuick(t *testing.T, m *ir.Module, disableR5 bool, i, n uint64) (uint64, []metapool.Violation, uint64, error) {
+	t.Helper()
+	cfg := testCfg()
+	cfg.EntryFunc = "init"
+	cfg.DisableExactChecks = disableR5
+	prog, err := Compile(cfg, m)
+	if err != nil {
+		t.Fatalf("Compile(disableR5=%v): %v", disableR5, err)
+	}
+	if want := map[bool]int{false: 3, true: 0}[disableR5]; prog.Metrics.BoundsExactR5 != want {
+		t.Fatalf("disableR5=%v: %d exact checks, want %d", disableR5, prog.Metrics.BoundsExactR5, want)
+	}
+	if errs := ir.VerifyModule(m); len(errs) != 0 {
+		t.Fatalf("module does not verify: %v", errs[0])
+	}
+	if errs := typecheck.New(m.Metapools).Check(m); len(errs) != 0 {
+		t.Fatalf("verifier rejects disableR5=%v: %v", disableR5, errs[0])
+	}
+	v := vm.New(hw.NewMachine(0, 16), vm.ConfigSafe)
+	svaos.Install(v)
+	if err := v.LoadModule(m, false); err != nil {
+		t.Fatal(err)
+	}
+	run := func(fn string, args ...uint64) (uint64, error) {
+		top, _ := v.AllocKernelStack(64 * 1024)
+		ex, err := v.NewExec(v.FuncByName(fn), args, top, hw.PrivKernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.SetExec(ex)
+		v.StepBudget = 10_000_000
+		return v.Run()
+	}
+	if _, err := run("init"); err != nil {
+		t.Fatalf("init: %v", err)
+	}
+	got, rerr := run("prog", i, n)
+	var vs []metapool.Violation
+	for _, x := range v.Violations {
+		vs = append(vs, *x)
+	}
+	return got, vs, v.Counters.ChecksBounds, rerr
+}
+
+// TestExactCheckEquivalenceQuick is the R5 soundness property over
+// randomized global-indexed programs: with exact checks, a run traps
+// exactly when it traps under the lookup checks, with identical
+// violation records (kind, pool, address, message), executes the same
+// number of bounds checks, and returns the same value otherwise.
+// Indices and lengths are drawn from the edge classes around the
+// object: in bounds, the last element, one past it, the neighbours,
+// negative, and far away.
+func TestExactCheckEquivalenceQuick(t *testing.T) {
+	pick := func(size int64, sel, r uint8) uint64 {
+		switch sel % 6 {
+		case 0:
+			return uint64(int64(r) % size)
+		case 1:
+			return uint64(size - 1)
+		case 2:
+			return uint64(size)
+		case 3:
+			return uint64(size + int64(r%6))
+		case 4:
+			return uint64(-1 - int64(r%6))
+		}
+		return 1 << 40
+	}
+	prop := func(ss, is, ir8, ns, nr uint8) bool {
+		size := int64(ss%16) + 1
+		i := pick(size, is, ir8)
+		n := pick(size*8+1, ns, nr) // bytes: [0, size*8] is in bounds
+		gotE, vioE, chkE, errE := runExactQuick(t, buildExactModule(size), false, i, n)
+		gotL, vioL, chkL, errL := runExactQuick(t, buildExactModule(size), true, i, n)
+		if (errE == nil) != (errL == nil) || !reflect.DeepEqual(vioE, vioL) || chkE != chkL {
+			t.Logf("size=%d i=%d n=%d: exact (vio=%v err=%v checks=%d) vs lookup (vio=%v err=%v checks=%d)",
+				size, int64(i), int64(n), vioE, errE, chkE, vioL, errL, chkL)
+			return false
+		}
+		if errE == nil && gotE != gotL {
+			t.Logf("size=%d i=%d n=%d: value %d vs %d", size, int64(i), int64(n), gotE, gotL)
+			return false
+		}
+		return true
+	}
+	cfg := &quick.Config{
+		MaxCount: 64,
+		Rand:     rand.New(rand.NewSource(20060520)), // deterministic battery
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
+	}
 }

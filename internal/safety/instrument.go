@@ -16,6 +16,9 @@ type instrumenter struct {
 	callSets [][]string
 	// devirtualized counts indirect calls converted to direct ones.
 	devirtualized int
+	// globals maps each global registered by registerGlobals to its pool
+	// (the objects elision rule R5 may check without a lookup).
+	globals map[*ir.Global]int
 
 	m *ir.Module
 	// out is the instruction list being rebuilt for the current block.
@@ -570,6 +573,10 @@ func (ins *instrumenter) registerGlobals(m *ir.Module, entry *ir.Function) {
 		}
 		p := ins.asBytePtr(g)
 		ins.call(svaops.ObjRegister, mpConst(mp), p, ir.I64c(layout.Size(g.ValueType)))
+		if ins.globals == nil {
+			ins.globals = map[*ir.Global]int{}
+		}
+		ins.globals[g] = mp
 	}
 	if len(ins.out) == 0 {
 		return

@@ -47,6 +47,10 @@ type Config struct {
 	// DisableLoopVersioning turns off only elision rule R4 (loop-versioned
 	// bounds checks): the R4 on/off equivalence suites flip this.
 	DisableLoopVersioning bool
+	// DisableExactChecks turns off only rule R5 (global-based bounds
+	// checks become lookup-free pchk.exact checks): the R5 on/off
+	// equivalence suites flip this.
+	DisableExactChecks bool
 }
 
 // Program is the result of safety compilation over a set of modules.
@@ -127,6 +131,13 @@ func Compile(cfg Config, mods ...*ir.Module) (*Program, error) {
 	if !cfg.DisableLoopVersioning {
 		for _, m := range mods {
 			p.Metrics.BoundsElidedR4 += versionLoops(m, checked[m])
+		}
+	}
+	// R5 runs after R1–R4, on every bounds check that still executes
+	// (R4's fallback loops included).
+	if !cfg.DisableElide && !cfg.DisableExactChecks {
+		for _, m := range mods {
+			p.Metrics.BoundsExactR5 += exactChecks(m, inst.globals)
 		}
 	}
 

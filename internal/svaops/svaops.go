@@ -141,6 +141,14 @@ const (
 	// wrap-around.  It never raises a violation: a failed query only
 	// selects the checked copy of the loop.
 	BoundsTest = "pchk.bounds.test"
+	// ExactCheck is the lookup-free bounds check behind elision rule R5:
+	// exact(pool, base, derived, size) passes exactly when
+	// base <= derived <= base+size (one past the end allowed, as for
+	// pchk.bounds).  The compiler emits it only where base is a registered
+	// global of static size, so [base, base+size) is that global's
+	// registered object and no metapool lookup is needed to find it; on
+	// failure it raises the violation pchk.bounds would have raised.
+	ExactCheck = "pchk.exact"
 )
 
 // Class partitions the operations the way the paper's tables do.
@@ -208,6 +216,10 @@ const (
 	costReg    = 15  // splay insert
 	costDrop   = 15  // splay delete
 	costIC     = 10  // set membership
+	// costExact is the range compare alone: an exact check knows its
+	// object statically, so it pays costBounds without the lookup that
+	// costLS prices.
+	costExact = costBounds - costLS
 	// costElide is the residual cost of a check the compiler proved
 	// redundant (§7.1.3): the annotation itself is free in native code;
 	// one cycle models accounting noise so elision never looks better
@@ -282,6 +294,7 @@ var Ops = []*Op{
 	{ElideBounds, ClassCheck, costElide, sig(ir.Void, ir.I32, BytePtr, BytePtr)},
 	{ElideLS, ClassCheck, costElide, sig(ir.Void, ir.I32, BytePtr)},
 	{BoundsTest, ClassCheck, costBounds, sig(ir.I1, ir.I32, BytePtr, ir.I64, ir.I64)},
+	{ExactCheck, ClassCheck, costExact, sig(ir.Void, ir.I32, BytePtr, BytePtr, ir.I64)},
 	{GetBoundsLo, ClassCheck, 0, sig(ir.I64, ir.I32, BytePtr)},
 	{GetBoundsHi, ClassCheck, 0, sig(ir.I64, ir.I32, BytePtr)},
 }

@@ -44,7 +44,7 @@ func TestEveryOperationHasSignature(t *testing.T) {
 		IntrEnable, TimerArm, Cycles, Halt, PseudoAlloc, PseudoAllocBatch,
 		Memcpy, Memmove, Memset, Memcmp,
 		ObjRegister, ObjRegisterStack, ObjRegisterBatch, ObjDrop, BoundsCheck, LSCheck,
-		ICCheck, GetBoundsLo, GetBoundsHi, ElideBounds, ElideLS, BoundsTest,
+		ICCheck, GetBoundsLo, GetBoundsHi, ElideBounds, ElideLS, BoundsTest, ExactCheck,
 	}
 	for _, n := range names {
 		if Signatures[n] == nil {
@@ -57,7 +57,7 @@ func TestEveryOperationHasSignature(t *testing.T) {
 }
 
 func TestIsCheckOp(t *testing.T) {
-	for _, n := range []string{ObjRegister, ObjRegisterStack, ObjDrop, BoundsCheck, LSCheck, ICCheck, ElideBounds, ElideLS, BoundsTest} {
+	for _, n := range []string{ObjRegister, ObjRegisterStack, ObjDrop, BoundsCheck, LSCheck, ICCheck, ElideBounds, ElideLS, BoundsTest, ExactCheck} {
 		if !IsCheckOp(n) {
 			t.Errorf("%s not classified as a check op", n)
 		}
@@ -120,6 +120,7 @@ func TestCheckOpCosts(t *testing.T) {
 		Trap: 150, BoundsCheck: 25, LSCheck: 20, ObjRegister: 15,
 		ObjRegisterStack: 15, ObjDrop: 15, ICCheck: 10, ElideBounds: 1,
 		ElideLS: 1, GetBoundsLo: 0, GetBoundsHi: 0, BoundsTest: 25,
+		ExactCheck: 5,
 	}
 	for n, c := range want {
 		if Cost(n) != c {

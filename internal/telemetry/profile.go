@@ -18,8 +18,9 @@ import (
 // appear in the function that executed it.  Coverage (Attributed vs the
 // CPU's total delta) is computed against the function view only.
 type Profiler struct {
-	fns map[string]*fnCount
-	ops map[string]*opCount
+	fns   map[string]*fnCount
+	ops   map[string]*opCount
+	sites map[SiteKey]*opCount
 	// Attributed sums all cycles booked to functions.
 	attributed uint64
 }
@@ -37,7 +38,7 @@ type opCount struct {
 
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{fns: map[string]*fnCount{}, ops: map[string]*opCount{}}
+	return &Profiler{fns: map[string]*fnCount{}, ops: map[string]*opCount{}, sites: map[SiteKey]*opCount{}}
 }
 
 // ChargeFn books cycles (one executed instruction's full charge, including
@@ -66,6 +67,31 @@ func (p *Profiler) ChargeOp(name string, cycles uint64) {
 	c.count++
 }
 
+// SiteKey identifies one check call site: the guest function, the index
+// of the basic block holding the call, the operation, and its first
+// argument (the metapool ID; the call-set ID for pchk.iccheck).
+type SiteKey struct {
+	Fn    string
+	Block int
+	Op    string
+	Pool  uint64
+}
+
+// String renders the site as fn#block.
+func (k SiteKey) String() string { return fmt.Sprintf("%s#%d", k.Fn, k.Block) }
+
+// ChargeSite books one executed check operation's charge against its call
+// site, alongside the ChargeOp booking of the operation itself.
+func (p *Profiler) ChargeSite(k SiteKey, cycles uint64) {
+	c := p.sites[k]
+	if c == nil {
+		c = &opCount{}
+		p.sites[k] = c
+	}
+	c.cycles += cycles
+	c.count++
+}
+
 // FnEntry is one function's row in a Profile, callers sorted by cycles.
 type FnEntry struct {
 	Name    string
@@ -88,10 +114,19 @@ type OpEntry struct {
 	Cycles uint64
 }
 
+// SiteEntry is one check call site's row in a Profile.
+type SiteEntry struct {
+	SiteKey
+	Count  uint64
+	Cycles uint64
+}
+
 // Profile is a sorted snapshot of a Profiler.
 type Profile struct {
 	Functions []FnEntry
 	Ops       []OpEntry
+	// Sites attributes every check-class operation to its call site.
+	Sites []SiteEntry
 	// Attributed is the total cycles booked to functions; dividing by the
 	// CPU's cycle delta over the profiled window gives coverage.
 	Attributed uint64
@@ -133,7 +168,49 @@ func (p *Profiler) Snapshot() *Profile {
 		}
 		return prof.Ops[i].Name < prof.Ops[j].Name
 	})
+	for k, c := range p.sites {
+		prof.Sites = append(prof.Sites, SiteEntry{SiteKey: k, Count: c.count, Cycles: c.cycles})
+	}
+	sort.Slice(prof.Sites, func(i, j int) bool {
+		a, b := prof.Sites[i], prof.Sites[j]
+		switch {
+		case a.Cycles != b.Cycles:
+			return a.Cycles > b.Cycles
+		case a.Fn != b.Fn:
+			return a.Fn < b.Fn
+		case a.Block != b.Block:
+			return a.Block < b.Block
+		case a.Op != b.Op:
+			return a.Op < b.Op
+		}
+		return a.Pool < b.Pool
+	})
 	return prof
+}
+
+// FormatSites renders the per-site check attribution: one row per check
+// call site with its executions and cycles, and its share of all
+// check-site cycles.
+func (p *Profile) FormatSites() string {
+	var sb strings.Builder
+	var total uint64
+	for _, s := range p.Sites {
+		total += s.Cycles
+	}
+	fmt.Fprintf(&sb, "Per-site checks (%d sites, %d cycles)\n", len(p.Sites), total)
+	fmt.Fprintf(&sb, "%-28s %-18s %6s %10s %12s %7s\n", "Site", "Operation", "pool", "count", "cycles", "%check")
+	for _, s := range p.Sites {
+		pool := fmt.Sprintf("MP%d", s.Pool)
+		if s.Op == svaops.ICCheck {
+			pool = fmt.Sprintf("set%d", s.Pool)
+		}
+		share := 0.0
+		if total > 0 {
+			share = 100 * float64(s.Cycles) / float64(total)
+		}
+		fmt.Fprintf(&sb, "%-28s %-18s %6s %10d %12d %6.1f%%\n", s.SiteKey, s.Op, pool, s.Count, s.Cycles, share)
+	}
+	return sb.String()
 }
 
 // Format renders the profile: coverage, the top-N flat function report
@@ -193,6 +270,10 @@ func (p *Profile) Format(top int, total uint64) string {
 			name = "(guest)"
 		}
 		fmt.Fprintf(&sb, "  %-10s %12d %6.1f%%\n", name, byClass[c], pctOf(byClass[c]))
+	}
+	if len(p.Sites) > 0 {
+		sb.WriteString("\n")
+		sb.WriteString(p.FormatSites())
 	}
 	return sb.String()
 }

@@ -53,10 +53,14 @@ type StaticStats struct {
 	// R4 counts loop-versioned sites: each keeps its check in the
 	// fallback loop and gains an elided twin in the fast copy, so R4
 	// sites are not part of BoundsChecksElided.
-	BoundsElidedR1     int
-	BoundsElidedR2     int
-	BoundsElidedR3     int
-	BoundsElidedR4     int
+	BoundsElidedR1 int
+	BoundsElidedR2 int
+	BoundsElidedR3 int
+	BoundsElidedR4 int
+	// BoundsExactR5 counts executed bounds checks on a registered global
+	// that rule R5 turned into lookup-free pchk.exact checks; they stay
+	// executed checks, so they are not part of BoundsChecksElided.
+	BoundsExactR5      int
 	GEPsProvenSafe     int
 	LSChecksInserted   int
 	LSChecksElided     int
@@ -85,8 +89,8 @@ func (m StaticStats) String() string {
 	row("Stores", m.Stores)
 	row("Structure Indexing", m.StructIdx)
 	row("Array Indexing", m.ArrayIdx)
-	fmt.Fprintf(&sb, "Bounds checks      inserted=%-6d elided=%d (R1=%d R2=%d R3=%d), loop-versioned R4=%d\n",
+	fmt.Fprintf(&sb, "Bounds checks      inserted=%-6d elided=%d (R1=%d R2=%d R3=%d), loop-versioned R4=%d, exact R5=%d\n",
 		m.BoundsChecksInserted, m.BoundsChecksElided, m.BoundsElidedR1, m.BoundsElidedR2, m.BoundsElidedR3,
-		m.BoundsElidedR4)
+		m.BoundsElidedR4, m.BoundsExactR5)
 	return sb.String()
 }

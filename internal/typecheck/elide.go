@@ -121,7 +121,9 @@ func (c *Checker) checkElisions(f *ir.Function) {
 				continue
 			}
 			switch name {
-			case svaops.BoundsCheck:
+			case svaops.BoundsCheck, svaops.ExactCheck:
+				// A verified exact check (rule R5) decides the same fact
+				// as the bounds check it replaced.
 				if key, _, keyed := ev.boundsKey(in); keyed {
 					ev.evidence[key] = append(ev.evidence[key], elideSite{b, i})
 				}
@@ -301,7 +303,7 @@ func vinstrKills(in *ir.Instr, pool int64) bool {
 		}
 		return true
 	case svaops.BoundsCheck, svaops.LSCheck, svaops.ICCheck,
-		svaops.GetBoundsLo, svaops.GetBoundsHi, svaops.BoundsTest,
+		svaops.GetBoundsLo, svaops.GetBoundsHi, svaops.BoundsTest, svaops.ExactCheck,
 		svaops.ElideBounds, svaops.ElideLS,
 		svaops.Memcpy, svaops.Memmove, svaops.Memset, svaops.Memcmp:
 		return false

@@ -43,11 +43,16 @@ const (
 	// or a pchk.drop.obj lands in the fast loop.  Seed s applies
 	// corruption s%5 to versioned loop s/5.
 	BugBogusVersioning
+	// BugBogusExact: an R5 exact check stops describing its global — the
+	// size is widened, the base moves to a global of another size, the
+	// pool ID changes, or the base is not a global at all.  Seed s
+	// applies corruption s%4 to exact check s/4.
+	BugBogusExact
 )
 
 // bugNames is the one list of bug kinds: its order is the BugKind order.
 var bugNames = [...]string{"aliasing", "edge", "th-claim", "split", "bogus-elision",
-	"bogus-range-elision", "bogus-versioning"}
+	"bogus-range-elision", "bogus-versioning", "bogus-exact"}
 
 func (k BugKind) String() string {
 	if int(k) >= 0 && int(k) < len(bugNames) {
@@ -97,6 +102,8 @@ func InjectBug(kind BugKind, seed int, descs []*ir.MetapoolDesc, mods ...*ir.Mod
 		return injectBogusRangeElision(seed, mods)
 	case BugBogusVersioning:
 		return injectBogusVersioning(seed, mods)
+	case BugBogusExact:
+		return injectBogusExact(seed, descs, mods)
 	}
 	return "", false
 }
@@ -203,8 +210,15 @@ func injectTHClaim(seed int, descs []*ir.MetapoolDesc, mods []*ir.Module) (strin
 		if ci, okc := src.(*ir.Instr); okc && ci.Op == ir.OpBitcast {
 			src = ci.Args[0]
 		}
-		if t := src.Type(); t.IsPointer() && t.Elem() != ir.I8 {
-			if p := poolOf(src); p != "" {
+		// As checkTHRegistration does: arrays count by their element,
+		// and a byte object is a raw allocation the claim is not checked
+		// against.
+		if t := src.Type(); t.IsPointer() {
+			et := t.Elem()
+			for et.IsArray() {
+				et = et.Elem()
+			}
+			if p := poolOf(src); p != "" && et != ir.I8 {
 				typed[p] = true
 			}
 		}
@@ -315,7 +329,7 @@ func replayElisions(ev *elideVerifier, visit func(in *ir.Instr, r1, r2, r3, r4 b
 				continue
 			}
 			switch name {
-			case svaops.BoundsCheck:
+			case svaops.BoundsCheck, svaops.ExactCheck:
 				if key, _, keyed := ev.boundsKey(in); keyed {
 					ev.evidence[key] = append(ev.evidence[key], elideSite{b, i})
 				}
@@ -630,4 +644,77 @@ func indexCell(check *ir.Instr) *ir.Instr {
 		return a
 	}
 	return nil
+}
+
+// injectBogusExact applies corruption seed%4 to exact check seed/4
+// (wrapping); each breaks one premise the verifier re-derives for rule R5.
+func injectBogusExact(seed int, descs []*ir.MetapoolDesc, mods []*ir.Module) (string, bool) {
+	type site struct {
+		m  *ir.Module
+		f  *ir.Function
+		in *ir.Instr
+	}
+	var sites []site
+	for _, m := range mods {
+		compiledInstrs([]*ir.Module{m}, func(f *ir.Function, in *ir.Instr) bool {
+			if name, ok := in.IsIntrinsicCall(); ok && name == svaops.ExactCheck {
+				sites = append(sites, site{m, f, in})
+			}
+			return true
+		})
+	}
+	if seed < 0 {
+		return "", false
+	}
+	s, ok := pick(sites, seed/4)
+	if !ok {
+		return "", false
+	}
+	g, okg := vstripPtrCasts(s.in.Args[1]).(*ir.Global)
+	size, oks := s.in.Args[3].(*ir.ConstInt)
+	if !okg || !oks {
+		return "", false
+	}
+	at := fmt.Sprintf("exact check on @%s (%s) in @%s", g.Nm, s.in.Args[2].Ident(), s.f.Nm)
+	switch seed % 4 {
+	case 0:
+		s.in.Args[3] = ir.I64c(size.SignedValue() + 1)
+		return fmt.Sprintf("widened the size %d -> %d of the %s", size.SignedValue(), size.SignedValue()+1, at), true
+	case 1:
+		// Another global of a different size, cast where the check is.
+		var layout ir.Layout
+		for _, h := range s.m.Globals {
+			if h == g || layout.Size(h.ValueType) == size.SignedValue() {
+				continue
+			}
+			blk := s.in.Parent()
+			_, i, _ := vsitePos(s.in)
+			cast := &ir.Instr{Op: ir.OpBitcast, Typ: svaops.BytePtr, Args: []ir.Value{h}, Pool: h.Pool}
+			old := blk.Instrs
+			blk.Instrs = nil
+			for k, in := range old {
+				if k == i {
+					blk.Append(cast)
+				}
+				blk.Append(in)
+			}
+			s.in.Args[1] = cast
+			return fmt.Sprintf("rebased the %s onto @%s (%d bytes), keeping size %d",
+				at, h.Nm, layout.Size(h.ValueType), size.SignedValue()), true
+		}
+	case 2:
+		id, okc := s.in.Args[0].(*ir.ConstInt)
+		if !okc || len(descs) < 2 {
+			return "", false
+		}
+		wrong := (id.SignedValue() + 1) % int64(len(descs))
+		s.in.Args[0] = ir.NewInt(id.Type(), wrong)
+		return fmt.Sprintf("moved the %s from pool ID %d to %d", at, id.SignedValue(), wrong), true
+	case 3:
+		// The derived pointer as its own base: not a global, and the
+		// range compare then passes for any derived pointer.
+		s.in.Args[1] = s.in.Args[2]
+		return "replaced the global base of the " + at + " by the derived pointer", true
+	}
+	return "", false
 }

@@ -136,12 +136,15 @@ func (c *Checker) checkFunc(f *ir.Function) {
 						lschecked[bc.Args[0]] = true
 					}
 					c.checkMPConst(f, in, in.Args[1])
-				case svaops.BoundsCheck, svaops.ElideBounds:
+				case svaops.BoundsCheck, svaops.ElideBounds, svaops.ExactCheck:
 					boundsChecked[in.Args[2]] = true
 					if bc, okc := in.Args[2].(*ir.Instr); okc && bc.Op == ir.OpBitcast {
 						boundsChecked[bc.Args[0]] = true
 					}
 					c.checkMPConst(f, in, in.Args[1])
+					if name == svaops.ExactCheck {
+						c.checkExact(f, in)
+					}
 				case svaops.ObjRegister, svaops.ObjRegisterStack:
 					c.checkMPConst(f, in, in.Args[1])
 					c.checkTHRegistration(f, in)
@@ -181,6 +184,32 @@ func (c *Checker) checkMPConst(f *ir.Function, in *ir.Instr, ptr ir.Value) {
 	if int(idc.SignedValue()) != want {
 		c.fail(f, "aliasing", "%s uses pool ID %d but %s belongs to %s (ID %d)",
 			mustName(in), idc.SignedValue(), ptr.Ident(), pool, want)
+	}
+}
+
+// checkExact re-derives an elision rule R5 site: pchk.exact(pool, base,
+// derived, size) stands in for a bounds check only when base is a global,
+// pool is that global's pool and size is the size of its value type — the
+// object the compiler registers for it — so the inline range compare
+// decides exactly what the lookup would.
+func (c *Checker) checkExact(f *ir.Function, in *ir.Instr) {
+	if len(in.Args) != 4 {
+		c.fail(f, "exact", "pchk.exact with %d operands, want 4", len(in.Args))
+		return
+	}
+	g, ok := vstripPtrCasts(in.Args[1]).(*ir.Global)
+	if !ok {
+		c.fail(f, "exact", "pchk.exact base %s is not a global", in.Args[1].Ident())
+		return
+	}
+	want, ok := c.descID[g.Pool]
+	if idc, okc := in.Args[0].(*ir.ConstInt); !ok || !okc || int(idc.SignedValue()) != want {
+		c.fail(f, "exact", "pchk.exact on @%s does not consult its pool %q", g.Nm, g.Pool)
+	}
+	var layout ir.Layout
+	size := layout.Size(g.ValueType)
+	if sc, okc := in.Args[3].(*ir.ConstInt); !okc || size <= 0 || sc.SignedValue() != size {
+		c.fail(f, "exact", "pchk.exact on @%s claims size %s, global is %d bytes", g.Nm, in.Args[3].Ident(), size)
 	}
 }
 

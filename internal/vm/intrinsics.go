@@ -13,6 +13,7 @@ var (
 	cycRegObj  = svaops.Cost(svaops.ObjRegister)
 	cycDropObj = svaops.Cost(svaops.ObjDrop)
 	cycBounds  = svaops.Cost(svaops.BoundsCheck)
+	cycExact   = svaops.Cost(svaops.ExactCheck)
 	cycLS      = svaops.Cost(svaops.LSCheck)
 	cycIC      = svaops.Cost(svaops.ICCheck)
 	cycElide   = svaops.Cost(svaops.ElideBounds)
@@ -77,6 +78,17 @@ func (vm *VM) installCoreIntrinsics() {
 			return IntrinsicResult{}, err
 		}
 		return IntrinsicResult{}, pool.BoundsCheckCPU(vm.cpuID, a[1], a[2])
+	})
+	reg(svaops.ExactCheck, func(vm *VM, a []uint64) (IntrinsicResult, error) {
+		// Elision rule R5: the object is the global at a[1], so the check
+		// is a range compare with no page-map or tree lookup.
+		vm.Counters.ChecksBounds++
+		vm.CPU.Cycles += cycExact
+		pool, err := vm.Pools.PoolChecked(int(a[0]))
+		if err != nil {
+			return IntrinsicResult{}, err
+		}
+		return IntrinsicResult{}, pool.ExactCheckCPU(vm.cpuID, a[1], a[2], a[3])
 	})
 	reg(svaops.LSCheck, func(vm *VM, a []uint64) (IntrinsicResult, error) {
 		vm.Counters.ChecksLS++

@@ -51,11 +51,23 @@ func (vm *VM) SyscallCounts() map[int64]uint64 { return vm.syscallTally() }
 // observedIntrinsic wraps an intrinsic handler call when a profiler or
 // trace is attached: the handler's cycle delta is booked against the
 // operation, and check/MMU outcomes become trace events.
+//
+// Check-class operations are also booked against their call site (the
+// calling frame's function and block, and the pool argument), read before
+// the handler runs.
 func (vm *VM) observedIntrinsic(name string, h IntrinsicFn, args []uint64) (IntrinsicResult, error) {
+	var site telemetry.SiteKey
+	if vm.prof != nil && len(args) > 0 && svaops.IsCheckOp(name) {
+		fr := vm.cur.frames[len(vm.cur.frames)-1]
+		site = telemetry.SiteKey{Fn: fr.fn.Nm, Block: fr.block, Op: name, Pool: args[0]}
+	}
 	c0 := vm.CPU.Cycles
 	res, err := h(vm, args)
 	if vm.prof != nil {
 		vm.prof.ChargeOp(name, vm.CPU.Cycles-c0)
+		if site.Op != "" {
+			vm.prof.ChargeSite(site, vm.CPU.Cycles-c0)
+		}
 	}
 	if vm.trace != nil {
 		vm.traceIntrinsic(name, args, err)
