@@ -181,6 +181,29 @@ func buildChaosProgs() *userland.U {
 	return u
 }
 
+// buildSMPProbe emits the SMP battery's lookup-heavy worker.
+// smp_probe(iters) makes one getpid per iteration and stores into a stack
+// table at an index folded from a loaded cursor: no elision rule removes
+// that bounds check (the base is a stack object, not a global, and the
+// index has no static range), so every iteration pays a metapool lookup
+// and the splay class has a seam on every virtual CPU.
+func buildSMPProbe() *userland.U {
+	u := userland.New("smpprobe")
+	b := u.B
+	u.Prog("smp_probe")
+	tab := b.Alloca(ir.ArrayOf(16, ir.I64), "tab")
+	cur := b.Alloca(ir.I64, "cur")
+	b.Store(ir.I64c(0), cur)
+	b.For("i", ir.I64c(0), b.Param(0), ir.I64c(1), func(i ir.Value) {
+		j := b.SRem(b.Add(b.Load(cur), u.GetPID()), ir.I64c(16))
+		b.Store(i, b.Index(tab, j))
+		b.Store(j, cur)
+	})
+	b.Ret(ir.I64c(0))
+	u.SealAll()
+	return u
+}
+
 // watchdogFuel bounds any single trap handler during campaign runs, so a
 // fault that livelocks a handler becomes a classified watchdog fault.
 const watchdogFuel = 5_000_000
@@ -280,13 +303,13 @@ func RunOneSMP(class faultinject.Class, seed uint64) Result {
 }
 
 // RunOneSMPAt is RunOne's SMP variant: a fresh ConfigSafe system, one
-// armed injector, and the smp_worker battery (two tasks per CPU)
-// dispatched across vcpus virtual CPUs.  The battery is per-task syscalls
-// only (the SMP dispatch contract), so I/O-seam classes (diskio, netio)
-// may legitimately never fire here — the acceptance criterion stays what
-// it was: zero host escapes.
+// armed injector, and the SMP battery (two smp_worker tasks and one
+// smp_probe task per CPU) dispatched across vcpus virtual CPUs.  The
+// battery is per-task syscalls only (the SMP dispatch contract), so
+// I/O-seam classes (diskio, netio) may legitimately never fire here — the
+// acceptance criterion stays what it was: zero host escapes.
 func RunOneSMPAt(class faultinject.Class, seed uint64, vcpus int) (res Result) {
-	res = Result{Class: class, Seed: seed, Prog: "smp_worker"}
+	res = Result{Class: class, Seed: seed, Prog: "smp_worker+smp_probe"}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Outcome = Escape
@@ -295,16 +318,20 @@ func RunOneSMPAt(class faultinject.Class, seed uint64, vcpus int) (res Result) {
 	}()
 
 	u := hbench.BuildBenchModule()
-	sys, err := kernel.NewSystem(vm.ConfigSafe, true, u.M)
+	pu := buildSMPProbe()
+	sys, err := kernel.NewSystem(vm.ConfigSafe, true, u.M, pu.M)
 	if err != nil {
 		res.Outcome = Escape
 		res.Detail = fmt.Sprintf("clean boot failed: %v", err)
 		return res
 	}
-	worker := u.M.Func("smp_worker")
-	tasks := 2 * vcpus
-	for t := 0; t < tasks; t++ {
-		if _, err := sys.SpawnSMP(worker, 40+seed%20); err != nil {
+	worker, probe := u.M.Func("smp_worker"), pu.M.Func("smp_probe")
+	for t := 0; t < 3*vcpus; t++ {
+		fn := worker
+		if t >= 2*vcpus {
+			fn = probe
+		}
+		if _, err := sys.SpawnSMP(fn, 40+seed%20); err != nil {
 			// Spawning runs un-injected; a failure here is a broken harness,
 			// not a classified fault response.
 			res.Outcome = Escape

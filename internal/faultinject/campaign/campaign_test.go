@@ -87,6 +87,11 @@ func fullCampaignSMPAt(t *testing.T, vcpus int) {
 		row := sum.Counts[i]
 		t.Logf("%-10s detected=%-3d oops=%-3d failstop=%-3d tolerated=%-3d escape=%-3d fired=%d",
 			c, row[Detected], row[Oops], row[FailStop], row[Tolerated], row[Escape], sum.Fired[i])
+		// smp_probe's bounds check is the battery's metapool lookup: the
+		// splay class must reach it.
+		if c == faultinject.ClassSplay && sum.Fired[i] == 0 {
+			t.Errorf("splay: no injection fired across %d seeds; the SMP battery reaches no tree lookup", seedsPer)
+		}
 	}
 	for _, r := range results {
 		if r.Outcome == Escape {

@@ -13,6 +13,7 @@ import (
 
 	"sva/internal/ir"
 	"sva/internal/kernel"
+	"sva/internal/safety"
 	"sva/internal/userland"
 	"sva/internal/vm"
 )
@@ -273,10 +274,16 @@ var Configs = []vm.Config{vm.ConfigNative, vm.ConfigSVAGCC, vm.ConfigSVALLVM, vm
 
 // NewRunner boots all four configurations with the benchmark module.
 func NewRunner() (*Runner, error) {
+	return NewRunnerWith(kernel.SafetyConfig(true))
+}
+
+// NewRunnerWith is NewRunner with an explicit safety-compilation config
+// for the sva-safe kernel (the other three ignore it).
+func NewRunnerWith(scfg safety.Config) (*Runner, error) {
 	r := &Runner{Systems: map[vm.Config]*kernel.System{}}
 	for _, cfg := range Configs {
 		u := BuildBenchModule()
-		sys, err := kernel.NewSystem(cfg, true, u.M)
+		sys, err := kernel.NewSystemWith(cfg, scfg, u.M)
 		if err != nil {
 			return nil, fmt.Errorf("hbench: boot %v: %w", cfg, err)
 		}

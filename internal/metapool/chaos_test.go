@@ -3,8 +3,10 @@ package metapool
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"sva/internal/faultinject"
+	"sva/internal/splay"
 )
 
 // TestPoolCheckedBadID covers the converted panic site: a check naming a
@@ -117,5 +119,34 @@ func TestChaosDisarmedIsInert(t *testing.T) {
 	}
 	if p.IsQuarantined() {
 		t.Error("disarmed pool quarantined itself")
+	}
+}
+
+// TestStaleStackEvictionFailsClosed: registering a stack frame over a
+// stale one evicts it, and the evicted frame comes from the splay tree.
+// When that node is corrupt — grown past every registered size, the
+// ClassSplay "grow" mode — the registration must fail closed (quarantine
+// plus a MetadataCorruption violation) rather than sweep 2^62 bytes of
+// page map under the shard lock, which hung the SMP fault campaign.
+func TestStaleStackEvictionFailsClosed(t *testing.T) {
+	const base, size = 0x40000, 0x80
+	p := NewPool("MPX", false, true, 0)
+	if err := p.RegisterStackCPU(0, base, size); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.obj[shardIndex(base)].tree.MutateNth(0, func(r *splay.Range) { r.Len |= 1 << 62 }); !ok {
+		t.Fatal("no node to corrupt")
+	}
+	done := make(chan error, 1)
+	go func() { done <- p.RegisterStackCPU(0, base+size/2, size) }()
+	select {
+	case err := <-done:
+		var v *Violation
+		if !errors.As(err, &v) || v.Kind != MetadataCorruption || !p.IsQuarantined() {
+			t.Errorf("registration over a corrupt frame = %v (quarantined %v), want a MetadataCorruption violation",
+				err, p.IsQuarantined())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("registration over a corrupt stale frame did not return")
 	}
 }

@@ -507,8 +507,10 @@ func (p *Pool) registerNarrow(st *Stats, rg splay.Range, stack bool) (err error,
 		}
 		if stack {
 			if old, ok := sh.tree.FindOverlap(rg.Start, rg.Len); ok && old.Tag == TagStack {
-				sh.tree.Remove(old.Start)
-				p.pmRemoveShard(sh, old)
+				if !p.evictLocked(sh, old) {
+					p.quarantine(old)
+					return p.corruptionErr(st, rg.Start), false
+				}
 				continue
 			}
 		}
@@ -532,7 +534,10 @@ func (p *Pool) registerWide(st *Stats, rg splay.Range, stack bool) error {
 			break
 		}
 		if stack && old.Tag == TagStack {
-			p.removeObjectLocked(old)
+			if !p.removeObjectLocked(old) {
+				p.quarantine(old) // as in registerNarrow
+				return p.corruptionErr(st, rg.Start)
+			}
 			continue
 		}
 		st.Violations++

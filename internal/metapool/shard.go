@@ -153,21 +153,38 @@ func (p *Pool) anyOverlapLocked(rg splay.Range) (splay.Range, bool) {
 	return splay.Range{}, false
 }
 
-// removeObjectLocked deletes a known-live object from whichever store
+// removeObjectLocked deletes a stale stack frame from whichever store
 // holds it and invalidates its page entries.  Caller holds the gate
-// exclusively (stale-stack eviction on the wide registration path).
-func (p *Pool) removeObjectLocked(r splay.Range) {
+// exclusively (stale-stack eviction on the wide registration path).  It
+// reports false, changing nothing, when r fails validation (see
+// evictLocked).
+func (p *Pool) removeObjectLocked(r splay.Range) bool {
 	if narrow(r) {
 		sh := &p.obj[shardIndex(r.Start)]
 		sh.mu.Lock()
-		sh.tree.Remove(r.Start)
-		p.pmRemoveShard(sh, r)
-		sh.mu.Unlock()
-		return
+		defer sh.mu.Unlock()
+		return p.evictLocked(sh, r)
+	}
+	if !p.rangeValid(r) {
+		return false
 	}
 	p.wideMu.Lock()
 	p.wide.Remove(r.Start)
 	p.wideMu.Unlock()
 	p.wideCount.Add(^uint64(0))
 	p.mapRemoveWide(r)
+	return true
+}
+
+// evictLocked deletes a stale stack frame r from sh's tree and page map;
+// caller holds sh.mu.  It reports false, changing nothing, when r fails
+// validation: a node grown by corrupt metadata would send the page-map
+// sweep over up to 2^64 bytes.  The registering caller then fails closed.
+func (p *Pool) evictLocked(sh *objShard, r splay.Range) bool {
+	if !p.rangeValid(r) {
+		return false
+	}
+	sh.tree.Remove(r.Start)
+	p.pmRemoveShard(sh, r)
+	return true
 }
