@@ -1,7 +1,7 @@
 # Tier-1 gate plus the race-sensitive packages this repo parallelizes.
 GO ?= go
 
-.PHONY: all build test vet lint race check equiv verify bench benchbuild tables chaos netsmoke domsmoke smpsmoke16
+.PHONY: all build test vet lint race check equiv verify golden bench benchbuild tables chaos netsmoke domsmoke smpsmoke16
 
 all: check
 
@@ -43,6 +43,16 @@ verify:
 		echo "verify: -inject $$k rejected"; \
 	done
 
+# Behaviour gate: every sva-bench table at scale 8 must match the
+# committed capture byte for byte.  Virtual cycles are deterministic, so
+# any diff is a behaviour change; a change that means to move the numbers
+# regenerates the capture with
+# `go run ./cmd/sva-bench -table=all -scale=8 > cmd/sva-bench/testdata/all_scale8.golden`.
+golden:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/sva-bench -table=all -scale=8 > "$$out" && \
+	diff -u cmd/sva-bench/testdata/all_scale8.golden "$$out" && echo "golden: sva-bench -table=all -scale=8 matches"
+
 # The bench harness and the fault campaign fan out goroutines per kernel
 # config, per table job and per injection run, and SMP runs sibling VCPUs
 # concurrently (with the threaded engine on by default, so the shared
@@ -78,7 +88,7 @@ smpsmoke16:
 benchbuild:
 	cd bench && $(GO) vet .
 
-check: build lint test equiv verify race netsmoke domsmoke smpsmoke16 benchbuild
+check: build lint test equiv verify golden race netsmoke domsmoke smpsmoke16 benchbuild
 
 # Fixed-seed fault-injection smoke: three classes through sva-run plus a
 # one-seed-per-class campaign table.  Any host escape fails the target.

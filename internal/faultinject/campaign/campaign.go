@@ -1,11 +1,12 @@
 // Package campaign drives fault-injection campaigns against booted SVA
 // kernels: for every (fault class, seed) pair it boots a fresh safe-config
-// system, arms the injector, runs a guest syscall battery, and classifies
-// the outcome.  The paper's robustness claim becomes the campaign's single
-// acceptance criterion: across every class and seed, the host-escape count
-// is zero — injected hardware faults and corrupted metadata surface as
-// detected violations, oops unwinds, or structured fail-stops, never as a
-// crash of the SVM itself.
+// system (from an image its battery builds once), arms the injector, runs
+// a guest syscall battery, and classifies the outcome.  The paper's
+// robustness claim becomes the campaign's single acceptance criterion:
+// across every class and seed, the host-escape count is zero — injected
+// hardware faults and corrupted metadata surface as detected violations,
+// oops unwinds, or structured fail-stops, never as a crash of the SVM
+// itself.
 package campaign
 
 import (
@@ -208,6 +209,46 @@ func buildSMPProbe() *userland.U {
 // fault that livelocks a handler becomes a classified watchdog fault.
 const watchdogFuel = 5_000_000
 
+// batteryImage is one battery's shared fixture: its user programs and
+// the ConfigSafe kernel image built and safety-compiled over them once.
+// Every cell of the battery boots a fresh system from it, as the
+// cross-domain campaign's domains do, instead of rebuilding the kernel.
+type batteryImage struct {
+	once  sync.Once
+	progs []*userland.U
+	img   *kernel.SharedImage
+	err   error
+}
+
+var uniImage, smpImage batteryImage
+
+// boot builds the image on first use and boots a fresh system from it.
+func (b *batteryImage) boot(build ...func() *userland.U) (*kernel.System, error) {
+	b.once.Do(func() {
+		var mods []*ir.Module
+		for _, f := range build {
+			u := f()
+			b.progs = append(b.progs, u)
+			mods = append(mods, u.M)
+		}
+		b.img, b.err = kernel.BuildShared(vm.ConfigSafe, true, mods...)
+	})
+	if b.err != nil {
+		return nil, b.err
+	}
+	return kernel.NewSystemShared(b.img)
+}
+
+// fn resolves a battery program across the image's modules (nil if none).
+func (b *batteryImage) fn(name string) *ir.Function {
+	for _, u := range b.progs {
+		if f := u.M.Func(name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // RunOne boots a fresh ConfigSafe system, arms one injector and runs one
 // battery program (selected by seed), classifying the outcome.  The boot
 // itself runs un-injected: a campaign measures the fault response of a
@@ -221,9 +262,7 @@ func RunOne(class faultinject.Class, seed uint64) (res Result) {
 		}
 	}()
 
-	u := hbench.BuildBenchModule()
-	cu := buildChaosProgs()
-	sys, err := kernel.NewSystem(vm.ConfigSafe, true, u.M, cu.M)
+	sys, err := uniImage.boot(hbench.BuildBenchModule, buildChaosProgs)
 	if err != nil {
 		res.Outcome = Escape
 		res.Detail = fmt.Sprintf("clean boot failed: %v", err)
@@ -236,10 +275,7 @@ func RunOne(class faultinject.Class, seed uint64) (res Result) {
 	}
 	pick := progs[seed%uint64(len(progs))]
 	res.Prog = pick.Name
-	f := u.M.Func(pick.Name)
-	if f == nil {
-		f = cu.M.Func(pick.Name)
-	}
+	f := uniImage.fn(pick.Name)
 	if f == nil {
 		res.Outcome = Escape
 		res.Detail = "battery program missing: " + pick.Name
@@ -302,12 +338,13 @@ func RunOneSMP(class faultinject.Class, seed uint64) Result {
 	return RunOneSMPAt(class, seed, SMPVCPUs)
 }
 
-// RunOneSMPAt is RunOne's SMP variant: a fresh ConfigSafe system, one
-// armed injector, and the SMP battery (two smp_worker tasks and one
-// smp_probe task per CPU) dispatched across vcpus virtual CPUs.  The
-// battery is per-task syscalls only (the SMP dispatch contract), so
-// I/O-seam classes (diskio, netio) may legitimately never fire here — the
-// acceptance criterion stays what it was: zero host escapes.
+// RunOneSMPAt is RunOne's SMP variant: a fresh ConfigSafe system booted
+// from the SMP battery's shared image, one armed injector, and the SMP
+// battery (two smp_worker tasks and one smp_probe task per CPU)
+// dispatched across vcpus virtual CPUs.  The battery is per-task syscalls
+// only (the SMP dispatch contract), so I/O-seam classes (diskio, netio)
+// may legitimately never fire here — the acceptance criterion stays what
+// it was: zero host escapes.
 func RunOneSMPAt(class faultinject.Class, seed uint64, vcpus int) (res Result) {
 	res = Result{Class: class, Seed: seed, Prog: "smp_worker+smp_probe"}
 	defer func() {
@@ -317,15 +354,13 @@ func RunOneSMPAt(class faultinject.Class, seed uint64, vcpus int) (res Result) {
 		}
 	}()
 
-	u := hbench.BuildBenchModule()
-	pu := buildSMPProbe()
-	sys, err := kernel.NewSystem(vm.ConfigSafe, true, u.M, pu.M)
+	sys, err := smpImage.boot(hbench.BuildBenchModule, buildSMPProbe)
 	if err != nil {
 		res.Outcome = Escape
 		res.Detail = fmt.Sprintf("clean boot failed: %v", err)
 		return res
 	}
-	worker, probe := u.M.Func("smp_worker"), pu.M.Func("smp_probe")
+	worker, probe := smpImage.fn("smp_worker"), smpImage.fn("smp_probe")
 	for t := 0; t < 3*vcpus; t++ {
 		fn := worker
 		if t >= 2*vcpus {
@@ -439,9 +474,6 @@ func runWith(one func(faultinject.Class, uint64) Result, classes []faultinject.C
 			out[i] = one(u.class, u.seed)
 		}
 	} else {
-		// Define the shared kernel named-struct types once before fanning
-		// out; concurrent builds then redefine identical bodies write-free.
-		kernel.Build()
 		jobs := make(chan int)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {

@@ -72,17 +72,17 @@ func TestDiskNICInjection(t *testing.T) {
 	n := NewLoopbackNIC()
 	n.Chaos = faultinject.New(faultinject.ClassNetIO, 9)
 	n.Chaos.SetInterval(1)
-	if err := n.Send([]byte{1, 2, 3}); err == nil {
+	if err := n.CompatSend([]byte{1, 2, 3}); err == nil {
 		t.Error("interval-1 NIC injector did not fail the send")
 	}
 	if n.Dropped == 0 {
 		t.Error("Dropped not counted")
 	}
 	n.Chaos = nil
-	if err := n.Send([]byte{1, 2, 3}); err != nil {
+	if err := n.CompatSend([]byte{1, 2, 3}); err != nil {
 		t.Errorf("disarmed NIC send failed: %v", err)
 	}
-	if f := n.Recv(); len(f) != 3 {
+	if f := n.CompatRecv(); len(f) != 3 {
 		t.Errorf("frame lost after disarm: %v", f)
 	}
 }

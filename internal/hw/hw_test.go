@@ -262,27 +262,27 @@ func TestBlockDevice(t *testing.T) {
 
 func TestLoopbackNIC(t *testing.T) {
 	n := NewLoopbackNIC()
-	if err := n.Send([]byte("packet-1")); err != nil {
+	if err := n.CompatSend([]byte("packet-1")); err != nil {
 		t.Fatal(err)
 	}
-	n.Send([]byte("packet-2"))
+	n.CompatSend([]byte("packet-2"))
 	if n.PendingFrames() != 2 {
 		t.Errorf("pending = %d", n.PendingFrames())
 	}
-	if string(n.Recv()) != "packet-1" {
+	if string(n.CompatRecv()) != "packet-1" {
 		t.Error("frames not FIFO")
 	}
-	if err := n.Send(make([]byte, 2000)); err == nil {
+	if err := n.CompatSend(make([]byte, 2000)); err == nil {
 		t.Error("oversize frame accepted")
 	}
-	if err := n.Send(nil); err == nil {
+	if err := n.CompatSend(nil); err == nil {
 		t.Error("empty frame accepted")
 	}
 	if n.TxBytes != 16 {
 		t.Errorf("TxBytes = %d", n.TxBytes)
 	}
-	n.Recv()
-	if n.Recv() != nil {
+	n.CompatRecv()
+	if n.CompatRecv() != nil {
 		t.Error("Recv on empty queue returned a frame")
 	}
 }

@@ -130,9 +130,9 @@ func histBucket(n int) int {
 // but frames move in batches: the guest posts descriptors, rings a
 // doorbell, and reaps completions, with interrupts coalesced.
 //
-// The synchronous Send/Recv methods remain as the legacy single-frame
-// path; CompatSend/CompatRecv are the same wire cores accounted as
-// 1-frame batches (the compat shims' implicit 1-slot ring).
+// CompatSend/CompatRecv are the synchronous single-frame path behind the
+// sva.io.net.send/recv shims: the same wire cores, accounted as 1-frame
+// batches on an implicit 1-slot ring.
 type RingNIC struct {
 	mu sync.Mutex
 	ChaosPort
@@ -257,24 +257,9 @@ func (n *RingNIC) rxPop(queue int) []byte {
 	return f
 }
 
-// Send transmits a copy of one frame synchronously on queue 0 (legacy
-// path); the caller keeps frame.
-func (n *RingNIC) Send(frame []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.transmit(0, bytes.Clone(frame), 0)
-}
-
-// Recv pops the next received frame on queue 0 (nil when empty).
-func (n *RingNIC) Recv() []byte {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rxPop(0)
-}
-
-// CompatSend is Send accounted as a 1-frame doorbell on the compat
-// shims' implicit 1-slot ring.  Wire behavior (chaos ordering, size
-// gate, counters) is bit-identical to Send.
+// CompatSend transmits a copy of one frame synchronously on queue 0 (the
+// caller keeps frame), accounted as a 1-frame doorbell on the compat
+// shims' implicit 1-slot ring.
 func (n *RingNIC) CompatSend(frame []byte) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -288,7 +273,8 @@ func (n *RingNIC) CompatSend(frame []byte) error {
 	return nil
 }
 
-// CompatRecv is Recv accounted as a 1-frame doorbell on the compat ring.
+// CompatRecv pops the next received frame on queue 0 (nil when empty),
+// accounted as a 1-frame doorbell on the compat ring.
 func (n *RingNIC) CompatRecv() []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()

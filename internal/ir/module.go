@@ -240,8 +240,14 @@ func (f *Function) NewBlock(label string) *BasicBlock {
 }
 
 // Renumber assigns stable sequential numbers to all instructions; passes
-// that index per-instruction side tables call this first.
+// that index per-instruction side tables call this first.  When the
+// numbering is already current it writes nothing, so renumbering a
+// function that other goroutines are executing or reading (a domain
+// rebooting from a shared image) is race-free.
 func (f *Function) Renumber() {
+	if f.numbered() {
+		return
+	}
 	n := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -250,6 +256,21 @@ func (f *Function) Renumber() {
 		}
 	}
 	f.nextNum = n
+}
+
+// numbered reports whether every instruction already carries its
+// position as its number.
+func (f *Function) numbered() bool {
+	n := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.num != n {
+				return false
+			}
+			n++
+		}
+	}
+	return f.nextNum == n
 }
 
 // NumInstrs returns the instruction count after the last Renumber.

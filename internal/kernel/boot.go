@@ -77,40 +77,14 @@ func NewSystem(cfg vm.Config, asTested bool, extra ...*ir.Module) (*System, erro
 
 // NewSystemWith is NewSystem with an explicit safety-compilation config
 // (elision ablations, exploit equivalence runs).  scfg is ignored unless
-// cfg is ConfigSafe.
+// cfg is ConfigSafe.  It is the one boot sequence: prepare an image, then
+// boot a system from it — the same path every domain takes.
 func NewSystemWith(cfg vm.Config, scfg safety.Config, extra ...*ir.Module) (*System, error) {
-	img := Build()
-	var prog *safety.Program
-	if cfg == vm.ConfigSafe {
-		mods := append([]*ir.Module{img.Kernel}, extra...)
-		p, err := safety.Compile(scfg, mods...)
-		if err != nil {
-			return nil, fmt.Errorf("kernel: safety compile: %w", err)
-		}
-		prog = p
-	}
-	if errs := ir.VerifyModule(img.Kernel); len(errs) != 0 {
-		return nil, fmt.Errorf("kernel: module does not verify: %v", errs[0])
-	}
-	mach := hw.NewMachine(0, 256)
-	v := vm.New(mach, cfg)
-	svaos.Install(v)
-	if prog != nil {
-		prog.Attach(v.Telemetry)
-	}
-	if err := v.LoadModule(img.Kernel, false); err != nil {
+	si, err := BuildSharedWith(cfg, scfg, extra...)
+	if err != nil {
 		return nil, err
 	}
-	for _, m := range extra {
-		if err := v.LoadModule(m, true); err != nil {
-			return nil, err
-		}
-	}
-	sys := &System{VM: v, Img: img, Prog: prog, Extra: extra}
-	if err := sys.Boot(); err != nil {
-		return nil, err
-	}
-	return sys, nil
+	return NewSystemShared(si)
 }
 
 // SharedImage is a pristine kernel image prepared once and booted by
@@ -118,7 +92,7 @@ func NewSystemWith(cfg vm.Config, scfg safety.Config, extra ...*ir.Module) (*Sys
 // set with every function renumbered up front, plus the cross-domain
 // translation cache.  The image and cache are read-only from the
 // domains' perspective — a microrebooting domain re-links the same
-// modules via LoadModuleShared, which never renumbers, so sibling
+// pre-numbered modules, which vm.LoadModule only reads, so sibling
 // domains can keep executing the shared IR throughout.
 type SharedImage struct {
 	Img   *Image
@@ -149,9 +123,10 @@ func BuildSharedWith(cfg vm.Config, scfg safety.Config, extra ...*ir.Module) (*S
 		return nil, fmt.Errorf("kernel: module does not verify: %v", errs[0])
 	}
 	// Renumber every function of every module exactly once, before any
-	// domain boots.  Domain (re)boots use LoadModuleShared, which skips
-	// renumbering — Renumber writes per-instruction state, and a
-	// microreboot must not race siblings executing the shared IR.
+	// domain boots: Renumber writes per-instruction state only when the
+	// numbering is stale, so every later (re)boot's LoadModule is
+	// read-only and a microreboot cannot race siblings executing the
+	// shared IR.
 	for _, m := range append([]*ir.Module{img.Kernel}, extra...) {
 		for _, f := range m.Funcs {
 			f.Renumber()
@@ -171,11 +146,11 @@ func NewSystemShared(si *SharedImage) (*System, error) {
 	if si.Prog != nil {
 		si.Prog.Attach(v.Telemetry)
 	}
-	if err := v.LoadModuleShared(si.Img.Kernel, false); err != nil {
+	if err := v.LoadModule(si.Img.Kernel, false); err != nil {
 		return nil, err
 	}
 	for _, m := range si.Extra {
-		if err := v.LoadModuleShared(m, true); err != nil {
+		if err := v.LoadModule(m, true); err != nil {
 			return nil, err
 		}
 	}

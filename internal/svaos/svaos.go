@@ -247,8 +247,8 @@ func Install(m *vm.VM) {
 	// sva.io.net.send/recv are compat shims over the ring NIC's implicit
 	// 1-slot ring (CompatSend/CompatRecv): guest-visible behavior — trap
 	// conditions, return values, chaos ordering and cycle charges — is
-	// bit-identical to the legacy synchronous handlers (InstallLegacyNet
-	// re-registers those verbatim for the equivalence twins).
+	// bit-identical to the retired pre-ring synchronous handlers, whose
+	// results the netshim goldens (exploits and svaos testdata) keep.
 	reg(svaops.NetSend, func(m *vm.VM, a []uint64) (none, error) {
 		if err := requireKernel(m, svaops.NetSend); err != nil {
 			return none{}, err
@@ -409,43 +409,6 @@ func Install(m *vm.VM) {
 		}
 		m.Mach.Timer.Arm(m.Counters.Steps, a[0])
 		return none{}, nil
-	})
-}
-
-// InstallLegacyNet re-registers the pre-ring synchronous NetSend/NetRecv
-// handlers (verbatim, minus the compat-ring batch accounting).  The net
-// shim equivalence tests run twin systems — one with this applied — to
-// prove the compat shims in Install are bit-identical for the guest.
-func InstallLegacyNet(m *vm.VM) {
-	m.RegisterIntrinsic(svaops.NetSend, func(m *vm.VM, a []uint64) (none, error) {
-		if err := requireKernel(m, svaops.NetSend); err != nil {
-			return none{}, err
-		}
-		buf, err := m.MemReadBytes(a[0], int(a[1]))
-		if err != nil {
-			return none{}, err
-		}
-		if err := m.Mach.NIC.Send(buf); err != nil {
-			return none{Value: ^uint64(0)}, nil
-		}
-		m.CPU.Cycles += m.Mach.NIC.PerFrameCost
-		return none{Value: 0}, nil
-	})
-	m.RegisterIntrinsic(svaops.NetRecv, func(m *vm.VM, a []uint64) (none, error) {
-		if err := requireKernel(m, svaops.NetRecv); err != nil {
-			return none{}, err
-		}
-		f := m.Mach.NIC.Recv()
-		if f == nil {
-			return none{Value: ^uint64(0)}, nil
-		}
-		if uint64(len(f)) > a[1] {
-			f = f[:a[1]]
-		}
-		if err := m.MemWriteBytes(a[0], f); err != nil {
-			return none{}, err
-		}
-		return none{Value: uint64(len(f))}, nil
 	})
 }
 

@@ -372,33 +372,20 @@ func (vm *VM) EngineOn() bool { return vm.engine }
 
 // LoadModule links a module into the VM: assigns code addresses to
 // functions, allocates and initializes globals, and registers metapool
-// descriptors.  user selects the user-space globals segment.
+// descriptors.  user selects the user-space globals segment.  Functions
+// are renumbered, which writes nothing when their numbering is current —
+// so loading a pre-numbered module that other machines are executing (a
+// domain microrebooting from a shared image) is read-only.
 func (vm *VM) LoadModule(m *ir.Module, user bool) error {
-	return vm.loadModule(m, user, true)
-}
-
-// LoadModuleShared links a module WITHOUT renumbering its instructions.
-// Renumber writes per-instruction state, so loading a module that other
-// machines are concurrently executing (a domain microrebooting from the
-// fleet's shared pristine image) must skip it; the caller guarantees the
-// module was renumbered once before any domain started (ir.VerifyModule
-// and kernel.BuildShared both do).
-func (vm *VM) LoadModuleShared(m *ir.Module, user bool) error {
-	return vm.loadModule(m, user, false)
-}
-
-func (vm *VM) loadModule(m *ir.Module, user, renumber bool) error {
 	vm.mods = append(vm.mods, m)
 	for _, f := range m.Funcs {
+		f.Renumber()
 		if first, dup := vm.symFunc[f.Nm]; dup {
 			// Cross-module references resolve to the first definition.
 			// The shadowed definition still needs a code address (a
 			// GlobalAddr may name it directly) and numbered values so
 			// its module prints and verifies.
 			vm.funcAddr[f] = vm.funcAddr[first]
-			if renumber {
-				f.Renumber()
-			}
 			continue
 		}
 		addr := vm.nextFunc
@@ -409,9 +396,6 @@ func (vm *VM) loadModule(m *ir.Module, user, renumber bool) error {
 		vm.funcAddr[f] = addr
 		vm.addrFunc[addr] = f
 		vm.symFunc[f.Nm] = f
-		if renumber {
-			f.Renumber()
-		}
 	}
 	var layout ir.Layout
 	for _, g := range m.Globals {
